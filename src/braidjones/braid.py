@@ -143,7 +143,9 @@ class BraidWord:
         if not syls:
             return BraidWord(self.strands)
         tup = tuple(syls)
-        best = min(tup[i:] + tup[:i] for i in range(len(tup)))
+        # the least rotation starts at a least syllable
+        first = min(tup)
+        best = min(tup[i:] + tup[:i] for i, syl in enumerate(tup) if syl == first)
         return BraidWord(self.strands, tuple(Syllable(g, e) for g, e in best))
 
     def rotated(self, k: int) -> BraidWord:

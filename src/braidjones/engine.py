@@ -17,8 +17,7 @@ syllable at once expands any word over the 2^k words with exponents in
 
 :func:`jones` reduces a word by cyclic normalization, split unions across
 unused generators, destabilization, and the single-syllable reduction,
-ending at either the split-union closed form for square-free ascending
-words or the bracket oracle for the residual all-exponent-one words.
+ending at the bracket oracle for the residual all-exponent-one words.
 Values are memoized on canonical cyclic forms.
 """
 
@@ -154,31 +153,45 @@ def jones(word: BraidWord, memo: MemoTable | None = None) -> LaurentPoly:
     cached = memo.get(key)
     if cached is not None:
         return cached
-    value = _evaluate(word, memo)
+    # split unions and destabilizations run in a loop, not by recursion,
+    # so long chains of either cannot exhaust the stack
+    loops = 0  # unknot components split off, each a LOOP_VALUE factor
+    value = ONE
+    parts = [word]
+    while parts:
+        part = parts.pop()
+        if not part.syllables:
+            loops += part.strands - 1
+            continue
+        halves = part.split_absent()
+        if halves is not None:
+            loops += 1
+            parts.extend(half.canonical() for half in halves)
+            continue
+        smaller = part.destabilized()
+        if smaller is not None:
+            parts.append(smaller.canonical())
+            continue
+        part_key = (part.strands, part.syllables)
+        part_value = memo.get(part_key)
+        if part_value is None:
+            part_value = _evaluate(part, memo)
+            memo[part_key] = part_value
+        value = part_value if value is ONE else value * part_value
+    if loops:
+        value = value * LOOP_VALUE**loops
     memo[key] = value
     return value
 
 
 def _evaluate(word: BraidWord, memo: MemoTable) -> LaurentPoly:
-    # word is canonical here
-    if not word.syllables:
-        return unlink_value(word.strands)
-    parts = word.split_absent()
-    if parts is not None:
-        front, back = parts
-        return LOOP_VALUE * jones(front, memo) * jones(back, memo)
-    smaller = word.destabilized()
-    if smaller is not None:
-        return jones(smaller, memo)
+    # word is canonical, uses every generator and does not destabilize
     for i, syl in enumerate(word.syllables):
         if syl.exp != 1:
             w0, w1 = skein_weights(syl.exp)
             v0 = jones(word.without_syllable(i), memo)
             v1 = jones(word.with_exponent(i, 1), memo)
             return (w0 * v0 + w1 * v1).exact_div(_S2P1)
-    gens = [s.gen for s in word.syllables]
-    if all(a < b for a, b in zip(gens, gens[1:])):
-        return square_free_value(word.strands, len(gens))
     return bracket.jones_via_bracket(word)
 
 

@@ -51,12 +51,10 @@ def _power(x: Ring, n: int) -> Ring:
 
 
 def _exact_div(num: Ring, den: Ring) -> Ring:
-    if isinstance(num, LaurentPoly) or isinstance(den, LaurentPoly):
-        if not isinstance(num, LaurentPoly):
-            num = LaurentPoly.monomial(0, num)
-        if not isinstance(den, LaurentPoly):
-            den = LaurentPoly.monomial(0, den)
+    if isinstance(num, LaurentPoly):
         return num.exact_div(den)
+    if isinstance(den, LaurentPoly):
+        return LaurentPoly.monomial(0, num).exact_div(den)
     q, r = divmod(num, den)
     if r:
         raise NotDivisible(f"{num} is not a multiple of {den}")

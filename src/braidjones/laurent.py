@@ -18,6 +18,7 @@ True
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping
@@ -198,45 +199,62 @@ class LaurentPoly:
             n >>= 1
         return result
 
-    def exact_div(self, den: LaurentPoly) -> LaurentPoly:
+    def exact_div(self, den: LaurentPoly | int) -> LaurentPoly:
         """Divide exactly by ``den``, raising NotDivisible on any remainder.
+
+        One descending pass of long division: the dividend's exponents are
+        sorted once, and exponents first reached by a subtraction wait on a
+        heap. An exact division costs O(t d log t) for t dividend and
+        quotient terms and d divisor terms, however wide the gaps between
+        exponents; nothing is allocated over the exponent span.
 
         >>> LaurentPoly.parse("-s^7 - s^5 - s^3 - s").exact_div(
         ...     LaurentPoly.parse("s^2 + 1")).text()
         '-s^5 - s'
         """
-        if not isinstance(den, LaurentPoly):
-            den = LaurentPoly.monomial(0, den)
+        den = self._coerce(den)
+        if den is None:
+            raise TypeError("divisor must be an int or a LaurentPoly")
         if den.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return ZERO
-        # shift both operands to ordinary polynomials so the long division
-        # below terminates; the quotient shift is the difference of orders
-        ns, ds = int(self.order), int(den.order)
-        rem = {e - ns: c for e, c in self._coeffs.items()}
-        dshift = {e - ds: c for e, c in den._coeffs.items()}
-        ddeg = int(den.degree) - ds
-        dlead = dshift[ddeg]
+        (ddeg, dlead), *dtail = den.terms()
+        # a quotient term below this would leave terms under the dividend's
+        # order that nothing later can cancel
+        floor = self.order - den.order
+        rem = dict(self._coeffs)
+        todo = sorted(rem, reverse=True)
+        nxt = 0
+        heap: list[int] = []  # negated exponents not in the dividend
         quot: dict[int, int] = {}
-        while rem:
-            e = max(rem)
-            if e < ddeg:
-                raise NotDivisible(f"remainder of degree {e + ns}")
-            c = rem[e]
-            if c % dlead:
+        while True:
+            if heap and (nxt == len(todo) or -heap[0] > todo[nxt]):
+                e = -heapq.heappop(heap)
+            elif nxt < len(todo):
+                e = todo[nxt]
+                nxt += 1
+            else:
+                break
+            c = rem.pop(e)
+            if not c:
+                continue
+            qe = e - ddeg
+            if qe < floor:
+                raise NotDivisible(f"remainder of degree {e}")
+            qc, r = divmod(c, dlead)
+            if r:
                 raise NotDivisible(f"coefficient {c} not divisible by {dlead}")
-            qe, qc = e - ddeg, c // dlead
             quot[qe] = qc
-            for de, dc in dshift.items():
+            for de, dc in dtail:
                 ne = de + qe
-                nc = rem.get(ne, 0) - dc * qc
-                if nc:
-                    rem[ne] = nc
+                old = rem.get(ne)
+                if old is None:
+                    heapq.heappush(heap, -ne)
+                    rem[ne] = -dc * qc
                 else:
-                    rem.pop(ne, None)
-        shift = ns - ds
-        return LaurentPoly._make({e + shift: c for e, c in quot.items()})
+                    rem[ne] = old - dc * qc
+        return LaurentPoly._make(quot)
 
     def evaluate(self, x: int | Fraction) -> Fraction:
         """Exact value at a nonzero rational point."""

@@ -9,6 +9,11 @@ import random
 
 from braidjones.braid import BraidWord, ExponentFamily, Syllable
 
+# 599 destabilizations down to the unknot
+DESTABILIZATION_CHAIN = "B600: " + " ".join(f"x{i}" for i in range(1, 600))
+# 599 split unions of 600 unknots
+SPLIT_CHAIN = "B1200: " + " ".join(f"x{i}" for i in range(1, 1200, 2))
+
 
 def random_word(
     rng: random.Random,

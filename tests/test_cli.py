@@ -6,6 +6,9 @@ import json
 import pytest
 
 from braidjones.cli import main
+from braidjones.engine import unlink_value
+
+from .helpers import DESTABILIZATION_CHAIN, SPLIT_CHAIN
 
 
 def run(capsys, *argv):
@@ -41,6 +44,16 @@ class TestJones:
         )
         assert code == 0
         assert via_oracle == direct
+
+    def test_long_destabilization_chain(self, capsys):
+        code, out, _ = run(capsys, "jones", DESTABILIZATION_CHAIN)
+        assert code == 0
+        assert out == "1\n"
+
+    def test_long_split_chain(self, capsys):
+        code, out, _ = run(capsys, "jones", SPLIT_CHAIN)
+        assert code == 0
+        assert out == unlink_value(600).text() + "\n"
 
     def test_parse_error_exits_one(self, capsys):
         code, out, err = run(capsys, "jones", "B3: y1")

@@ -25,7 +25,7 @@ from braidjones.engine import (
 )
 from braidjones.fibonacci import s_basis
 from braidjones.laurent import LaurentPoly
-from .helpers import random_word
+from .helpers import DESTABILIZATION_CHAIN, SPLIT_CHAIN, random_word
 
 V = LaurentPoly.parse
 S2P1 = V("s^2 + 1")
@@ -119,6 +119,10 @@ class TestExpansion:
             word = random_word(rng, 4, max_syllables=5, max_abs_exp=4)
             assert expansion_value(word) == jones(word), word.text()
 
+    def test_expansion_equals_engine_large_quartic(self):
+        word = parse_braid("B3: x1^1003 x2^-998 x1^1001 x2^995")
+        assert expansion_value(word, {}) == jones(word, {})
+
 
 class TestEngine:
     def test_agrees_with_oracle_exhaustive_b2(self):
@@ -139,6 +143,12 @@ class TestEngine:
             word = random_word(rng, 4, max_syllables=4, max_abs_exp=3)
             for k in range(len(word.syllables)):
                 assert jones(word.rotated(k)) == jones(word)
+
+    def test_long_destabilization_chain(self):
+        assert jones(parse_braid(DESTABILIZATION_CHAIN), {}) == V("1")
+
+    def test_long_split_chain(self):
+        assert jones(parse_braid(SPLIT_CHAIN), {}) == unlink_value(600)
 
     def test_memo_isolation(self):
         memo = {}

@@ -1,10 +1,11 @@
 """Exact Laurent polynomial arithmetic over the integers."""
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from braidjones.laurent import LaurentPoly, NotDivisible, ParseError
@@ -20,6 +21,13 @@ def polys(min_exp: int = -6, max_exp: int = 6, max_terms: int = 5):
         st.integers(min_value=-9, max_value=9),
     )
     return st.lists(pairs, max_size=max_terms).map(LaurentPoly)
+
+
+def divisors():
+    """Nonzero divisors, half of them built to lead with +-1, +-2 or +-3."""
+    lead = st.tuples(st.integers(7, 9), st.sampled_from([-3, -2, -1, 1, 2, 3]))
+    built = st.tuples(polys(), lead).map(lambda t: t[0] + LaurentPoly.monomial(*t[1]))
+    return st.one_of(polys().filter(bool), built)
 
 
 class TestConstruction:
@@ -111,6 +119,25 @@ class TestExactDivision:
     def test_zero_numerator(self):
         assert ZERO.exact_div(S + 1) == ZERO
 
+    def test_int_divisor(self):
+        assert LaurentPoly.parse("4s - 6").exact_div(2) == LaurentPoly.parse("2s - 3")
+        with pytest.raises(NotDivisible):
+            LaurentPoly.parse("4s - 6").exact_div(4)
+
+    @pytest.mark.parametrize("den", [2.0, Fraction(2)])
+    def test_non_integer_divisor_rejected(self, den):
+        with pytest.raises(TypeError):
+            LaurentPoly.parse("4s").exact_div(den)
+
+    @pytest.mark.parametrize("gap", [10**6, 10**18])
+    def test_sparse_gap(self, gap):
+        # the work follows the term count, not the exponent span
+        den = LaurentPoly({2: 1, 0: 1})
+        p = LaurentPoly({gap: 1, 0: 1})
+        start = time.perf_counter()
+        assert (p * den).exact_div(den) == p
+        assert time.perf_counter() - start < 1.0
+
 
 class TestText:
     @pytest.mark.parametrize(
@@ -157,11 +184,16 @@ class TestProperties:
         assert (p * q) * r == p * (q * r)
         assert p * (q + r) == p * q + p * r
 
-    @given(polys(), polys())
+    @given(polys(), divisors())
     def test_mul_then_exact_div_recovers(self, p, q):
-        if q.is_zero():
-            return
         assert (p * q).exact_div(q) == p
+
+    @given(polys(), divisors())
+    def test_non_unit_divisor_leaves_remainder(self, p, q):
+        # only the units +-s^k divide 1
+        assume(len(q) > 1 or abs(q.leading) > 1)
+        with pytest.raises(NotDivisible):
+            (p * q + 1).exact_div(q)
 
     @given(polys())
     def test_parse_text_round_trip(self, p):

@@ -1,10 +1,11 @@
 """Exact Jones polynomials of braid closures.
 
-The evaluator reduces a word syllable by syllable with a two-term skein
-recurrence, shares subproblems through a memo keyed on the cyclic
-canonical form, and falls back to a Kauffman-style state sum when the
-recurrence does not apply. Everything is exact integer Laurent
-arithmetic in the variable s.
+The evaluator cuts a closure at generators that occur in at most one
+syllable and runs what is left through a Temperley-Lieb transfer in which
+each syllable acts at once, by the quadratic relation of the two-term skein
+recurrence. The Kauffman bracket oracle is a separate route that the
+evaluator never calls. Everything is exact integer Laurent arithmetic in
+the variable s.
 """
 
 from __future__ import annotations
@@ -12,13 +13,13 @@ from __future__ import annotations
 from .braid import (
     BoundsError,
     BraidWord,
+    CapExceeded,
     ExponentFamily,
     Syllable,
     parse_braid,
     parse_family,
 )
 from .bracket import (
-    CapExceeded,
     bracket_naive,
     bracket_tl,
     jones_via_bracket,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .braid import BraidWord
+from .braid import BraidWord, CapExceeded
 from .laurent import LaurentPoly
 
 # Laurent polynomials in the smoothing variable A
@@ -34,10 +34,6 @@ DELTA = LaurentPoly({2: -1, -2: -1})
 
 DEFAULT_MAX_CROSSINGS = 24
 DEFAULT_MAX_STRANDS = 12
-
-
-class CapExceeded(RuntimeError):
-    """Input is larger than the configured cost cap for this evaluator."""
 
 
 class ParityError(ArithmeticError):

@@ -1,12 +1,9 @@
-"""Braid words in syllable form, plus the moves the evaluator relies on.
+"""Braid words in syllable form, and the cost cap error of the evaluators.
 
 A word is a sequence of syllables ``x_i^a`` on a fixed number of strands.
 Closures are taken cyclically, so the canonical form merges syllables
-across the wrap-around and rotates to a least representative. Markov
-moves appear as :meth:`BraidWord.destabilized` (remove a lone ``x_{n-1}``
-with unit exponent) and conjugation invariance of the canonical form;
-:meth:`BraidWord.split_absent` factors the closure across an unused
-generator.
+across the wrap-around and rotates to a least representative, which is
+invariant under conjugation.
 
 Text form: ``B3: x1^2 x2``. A one-slot exponent family writes its variable
 exponent as ``x1^@``.
@@ -16,13 +13,17 @@ from __future__ import annotations
 
 import dataclasses
 import re
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .laurent import ParseError
 
 
 class BoundsError(ValueError):
     """A generator index lies outside 1..strands-1."""
+
+
+class CapExceeded(RuntimeError):
+    """Input is larger than the configured cost cap for this evaluator."""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -117,29 +118,7 @@ class BraidWord:
         the lexicographically least syllable sequence. Idempotent, and
         constant on cyclic rotations of the same word.
         """
-        syls = [(s.gen, s.exp) for s in self.syllables if s.exp != 0]
-        changed = True
-        while changed:
-            changed = False
-            out: list[tuple[int, int]] = []
-            for gen, exp in syls:
-                if out and out[-1][0] == gen:
-                    merged = out[-1][1] + exp
-                    out.pop()
-                    if merged:
-                        out.append((gen, merged))
-                    changed = True
-                else:
-                    out.append((gen, exp))
-            while len(out) >= 2 and out[0][0] == out[-1][0]:
-                gen, tail = out.pop()
-                head = out[0][1]
-                out.pop(0)
-                merged = head + tail
-                if merged:
-                    out.insert(0, (gen, merged))
-                changed = True
-            syls = out
+        syls = reduce_cyclic((s.gen, s.exp) for s in self.syllables)
         if not syls:
             return BraidWord(self.strands)
         tup = tuple(syls)
@@ -154,40 +133,6 @@ class BraidWord:
             return self
         k %= len(self.syllables)
         return BraidWord(self.strands, self.syllables[k:] + self.syllables[:k])
-
-    def destabilized(self) -> BraidWord | None:
-        """Undo one stabilization if the top generator allows it.
-
-        If ``x_{strands-1}`` occurs in exactly one syllable and with
-        exponent +1 or -1, return the word on one fewer strand with that
-        syllable removed; otherwise None. The result is not normalized.
-        """
-        top = self.strands - 1
-        if top < 1:
-            return None
-        spots = [i for i, s in enumerate(self.syllables) if s.gen == top]
-        if len(spots) != 1 or self.syllables[spots[0]].exp not in (1, -1):
-            return None
-        rest = self.syllables[: spots[0]] + self.syllables[spots[0] + 1 :]
-        return BraidWord(self.strands - 1, rest)
-
-    def split_absent(self) -> tuple[BraidWord, BraidWord] | None:
-        """Split the closure across an unused generator.
-
-        If some generator ``x_g`` never occurs, the closure is the split
-        union of the closures of the two halves; returns (front, back)
-        with the back reindexed to start at x1, or None if every
-        generator occurs.
-        """
-        used = {s.gen for s in self.syllables}
-        for g in range(1, self.strands):
-            if g not in used:
-                front = tuple(s for s in self.syllables if s.gen < g)
-                back = tuple(
-                    Syllable(s.gen - g, s.exp) for s in self.syllables if s.gen > g
-                )
-                return BraidWord(g, front), BraidWord(self.strands - g, back)
-        return None
 
     # -- small editors ----------------------------------------------------
 
@@ -210,6 +155,30 @@ class BraidWord:
 
     def __str__(self) -> str:
         return self.text()
+
+
+def reduce_cyclic(syllables: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    """Cyclically reduced form of a closure's (generator, exponent) pairs.
+
+    Merges neighbouring syllables on one generator, across the wrap-around
+    too, and drops zero exponents. Conjugate words reduce to rotations of
+    one another.
+    """
+    out: list[tuple[int, int]] = []
+    for gen, exp in syllables:
+        if out and out[-1][0] == gen:
+            exp += out.pop()[1]
+        if exp:
+            out.append((gen, exp))
+    head = 0
+    while len(out) - head > 1 and out[head][0] == out[-1][0]:
+        gen, exp = out.pop()
+        exp += out[head][1]
+        if exp:
+            out[head] = (gen, exp)
+        else:
+            head += 1
+    return out[head:]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -24,8 +24,8 @@ from typing import Sequence
 
 from . import analysis
 from .analysis import InvariantViolation, Stability
-from .braid import BoundsError, parse_braid, parse_family
-from .bracket import CapExceeded, jones_via_bracket
+from .braid import BoundsError, CapExceeded, parse_braid, parse_family
+from .bracket import jones_via_bracket
 from .engine import FamilySweep, GeneratingFunction, jones
 from .laurent import LaurentPoly, ParseError
 from .selftest import run_selftest
@@ -475,10 +475,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"braidjones: {exc}", file=sys.stderr)
         return 1
     except CapExceeded as exc:
-        print(
-            f"braidjones: {exc} (raise the cap flag or use --engine recurrence)",
-            file=sys.stderr,
-        )
+        # only the oracle has cap flags and an engine to switch to
+        hint = ""
+        if getattr(args, "engine", None) == "oracle":
+            hint = " (raise the cap flag or use --engine recurrence)"
+        print(f"braidjones: {exc}{hint}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:
         print(f"braidjones: invariant violation: {exc}", file=sys.stderr)

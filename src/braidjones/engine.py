@@ -15,10 +15,21 @@ with the weight pair of :func:`skein_weights`, and applying it to every
 syllable at once expands any word over the 2^k words with exponents in
 {0, 1} (:func:`expand`). The division by s^2 + 1 is always exact.
 
-:func:`jones` reduces a word by cyclic normalization, split unions across
-unused generators, destabilization, and the single-syllable reduction,
-ending at the bracket oracle for the residual all-exponent-one words.
-Values are memoized on canonical cyclic forms.
+:func:`jones` evaluates a word in two stages, with no recursion and no
+call into the bracket oracle. First it splits the closure at every
+generator that occurs in at most one syllable: such a generator with
+exponent a contributes the factor V(T(2, a)) of the two-strand torus link
+(the unlink of two components when a = 0, the unknot when a = +-1), and the
+strands on either side evaluate separately. Then each remaining part goes
+through a syllable-level Temperley-Lieb transfer. In the same quadratic
+relation a whole syllable acts on planar matchings as
+
+    x_i^a = A^-a + beta_a e_i,   (1 + A^4) beta_a = A^(2-a) (1 - (-A^4)^a),
+
+so after scaling every state by (1 + A^4) each syllable applies binomial
+shifts only, and one exact division at the end removes (1 + A^4)^k. The
+state polynomials are packed into single integers (Kronecker substitution),
+so each shift and sum is one integer operation.
 """
 
 from __future__ import annotations
@@ -27,10 +38,9 @@ import dataclasses
 import itertools
 from typing import Iterable, Mapping
 
-from . import bracket
-from .braid import BraidWord, ExponentFamily, Syllable
+from .braid import BraidWord, CapExceeded, ExponentFamily, Syllable, reduce_cyclic
 from .fibonacci import FibSpec, series_denominator, series_weight
-from .laurent import ONE, LaurentPoly
+from .laurent import ONE, LaurentPoly, NotDivisible
 
 # the recurrence in any one syllable exponent has these roots
 SKEIN_SPEC = FibSpec(r1=LaurentPoly.monomial(1, -1), r2=LaurentPoly.monomial(3))
@@ -42,9 +52,12 @@ _UP0 = LaurentPoly.monomial(4)  # s^4
 _DOWN1 = LaurentPoly({-3: 1, -1: -1})  # s^-3 - s^-1
 _DOWN0 = LaurentPoly.monomial(-4)  # s^-4
 
-MemoTable = dict[tuple[int, tuple[Syllable, ...]], LaurentPoly]
+# Catalan(12): the live matchings of a 12-strand transfer, the size the
+# oracle's default strand cap admits
+TRANSFER_CAP = 208_012
 
-_SHARED_MEMO: MemoTable = {}
+MemoTable = dict[tuple[int, tuple[Syllable, ...]], LaurentPoly]
+Syllables = list[tuple[int, int]]  # (generator, exponent) pairs
 
 
 def step_up(v_e: LaurentPoly, v_e1: LaurentPoly) -> LaurentPoly:
@@ -143,56 +156,255 @@ def expansion_value(word: BraidWord, memo: MemoTable | None = None) -> LaurentPo
 def jones(word: BraidWord, memo: MemoTable | None = None) -> LaurentPoly:
     """Jones polynomial of the closure of a braid word.
 
-    Exact over the integers in the variable s. Pass a dict as ``memo`` to
-    isolate caching; by default a module-wide table is shared.
+    Exact over the integers in the variable s. Nothing is cached unless a
+    dict is passed as ``memo``, which then maps canonical forms to final
+    values. Raises CapExceeded when a transfer would hold more than
+    ``TRANSFER_CAP`` matchings at once.
     """
-    if memo is None:
-        memo = _SHARED_MEMO
-    word = word.canonical()
-    key = (word.strands, word.syllables)
-    cached = memo.get(key)
-    if cached is not None:
-        return cached
-    # split unions and destabilizations run in a loop, not by recursion,
-    # so long chains of either cannot exhaust the stack
-    loops = 0  # unknot components split off, each a LOOP_VALUE factor
+    key = None
+    if memo is not None:
+        word = word.canonical()
+        key = (word.strands, word.syllables)
+        cached = memo.get(key)
+        if cached is not None:
+            return cached
+    twists: dict[int, int] = {}  # exponent of a lone generator -> count
     value = ONE
-    parts = [word]
-    while parts:
-        part = parts.pop()
-        if not part.syllables:
-            loops += part.strands - 1
-            continue
-        halves = part.split_absent()
-        if halves is not None:
-            loops += 1
-            parts.extend(half.canonical() for half in halves)
-            continue
-        smaller = part.destabilized()
-        if smaller is not None:
-            parts.append(smaller.canonical())
-            continue
-        part_key = (part.strands, part.syllables)
-        part_value = memo.get(part_key)
-        if part_value is None:
-            part_value = _evaluate(part, memo)
-            memo[part_key] = part_value
-        value = part_value if value is ONE else value * part_value
-    if loops:
-        value = value * LOOP_VALUE**loops
-    memo[key] = value
+    for strands, syls in _split_lone(word, twists):
+        part = _transfer(strands, syls)
+        value = part if value is ONE else value * part
+    for exp, count in twists.items():
+        if exp not in (1, -1):
+            twist = _transfer(2, [(1, exp)])  # the torus link T(2, exp)
+            value = value * (twist if count == 1 else twist**count)
+    if key is not None:
+        memo[key] = value
     return value
 
 
-def _evaluate(word: BraidWord, memo: MemoTable) -> LaurentPoly:
-    # word is canonical, uses every generator and does not destabilize
-    for i, syl in enumerate(word.syllables):
-        if syl.exp != 1:
-            w0, w1 = skein_weights(syl.exp)
-            v0 = jones(word.without_syllable(i), memo)
-            v1 = jones(word.with_exponent(i, 1), memo)
-            return (w0 * v0 + w1 * v1).exact_div(_S2P1)
-    return bracket.jones_via_bracket(word)
+def _split_lone(word: BraidWord, twists: dict[int, int]) -> list[tuple[int, Syllables]]:
+    """Parts of the closure in which every generator occurs twice or more.
+
+    A generator x_g in at most one syllable x_g^a cuts the closure: the
+    syllables on generators below g commute with those above g, and the
+    skein reduction of x_g^a against the split union (a = 0) and the
+    connected sum (a = 1) of the two sides gives
+    V(word) = V(below) V(T(2, a)) V(above). Each cut adds its exponent
+    (0 if x_g is absent) to ``twists``; the pieces are cut again, since
+    syllables that the cut separated may merge.
+    """
+    parts: list[tuple[int, Syllables]] = []
+    todo = [(word.strands, [(s.gen, s.exp) for s in word.syllables])]
+    while todo:
+        strands, syls = todo.pop()
+        syls = reduce_cyclic(syls)
+        count = [0] * strands
+        last = [0] * strands
+        for gen, exp in syls:
+            count[gen] += 1
+            last[gen] = exp
+        cuts = [g for g in range(1, strands) if count[g] < 2]
+        if not cuts:
+            parts.append((strands, syls))
+            continue
+        for g in cuts:
+            twists[last[g]] = twists.get(last[g], 0) + 1
+        # piece i holds strands bounds[i] + 1 .. bounds[i + 1]
+        bounds = [0, *cuts, strands]
+        piece = [0] * strands
+        for i in range(len(cuts) + 1):
+            for g in range(bounds[i] + 1, bounds[i + 1]):
+                piece[g] = i
+        groups: list[Syllables] = [[] for _ in bounds[1:]]
+        for gen, exp in syls:
+            if count[gen] > 1:
+                i = piece[gen]
+                groups[i].append((gen - bounds[i], exp))
+        for i, group in enumerate(groups):
+            if group:
+                todo.append((bounds[i + 1] - bounds[i], group))
+    return parts
+
+
+class _Matchings:
+    """Planar matchings on one strand count and the action of each e_i.
+
+    The 2n boundary points of a matching are read around the disc: top
+    points of strands 1..n, then bottom points of strands n..1, so the top
+    of strand t is point t - 1 and its bottom is point 2n - t. A matching
+    is a Dyck word, an int whose bit p is set when point p opens a pair.
+    ``act[g][m]`` is e_g applied to m, equal to m when e_g closes a loop;
+    entries are filled the first time a transfer meets them.
+    """
+
+    def __init__(self, strands: int):
+        self.strands = strands
+        self.identity = (1 << strands) - 1  # strand t's top paired to its bottom
+        self.act: list[dict[int, int]] = [{} for _ in range(strands)]
+        self._loops: dict[int, int] = {}
+        self.size = strands  # entries held, counting each empty act table as one
+
+    def apply(self, gen: int, m: int) -> int:
+        """e_gen on m: cap the bottoms of strands gen and gen + 1, then cup."""
+        j = 2 * self.strands - 1 - gen  # bottom of strand gen + 1; j + 1 is strand gen's
+        low, high = m >> j & 1, m >> (j + 1) & 1
+        if low and not high:
+            out = m  # j and j + 1 are partners: a closed loop
+        elif high and not low:
+            out = m ^ (3 << j)  # their partners pair up across them
+        elif low:
+            # both open: j + 1's partner p closes, and now opens to j's partner
+            p, depth = j + 2, 1
+            while True:
+                depth += 1 if m >> p & 1 else -1
+                if not depth:
+                    break
+                p += 1
+            out = m ^ (1 << (j + 1)) ^ (1 << p)
+        else:
+            # both close: j's partner p opened to j, and now closes j + 1's partner
+            p, depth = j - 1, 1
+            while True:
+                depth += -1 if m >> p & 1 else 1
+                if not depth:
+                    break
+                p -= 1
+            out = m ^ (1 << p) ^ (1 << j)
+        self.act[gen][m] = out
+        self.size += 1
+        return out
+
+    def loops(self, m: int) -> int:
+        """Loop count of the closure of m, which joins point p to 2n-1-p."""
+        count = self._loops.get(m)
+        if count is None:
+            size = 2 * self.strands
+            partner = [0] * size
+            opened: list[int] = []
+            for p in range(size):
+                if m >> p & 1:
+                    opened.append(p)
+                else:
+                    q = opened.pop()
+                    partner[p], partner[q] = q, p
+            seen = [False] * size
+            count = 0
+            for start in range(size):
+                if seen[start]:
+                    continue
+                count += 1
+                p = start
+                while not seen[p]:
+                    q = partner[p]
+                    seen[p] = seen[q] = True
+                    p = size - 1 - q
+            self._loops[m] = count
+            self.size += 1
+        return count
+
+
+# The tables by strand count: a cache, filled as transfers meet matchings
+# and dropped whole once it holds more than TRANSFER_CAP entries.
+_TABLES: dict[int, _Matchings] = {}
+
+
+def _matchings(strands: int) -> _Matchings:
+    if sum(table.size for table in _TABLES.values()) > TRANSFER_CAP:
+        _TABLES.clear()
+    table = _TABLES.get(strands)
+    if table is None:
+        table = _TABLES[strands] = _Matchings(strands)
+    return table
+
+
+def _transfer(strands: int, syls: Syllables) -> LaurentPoly:
+    """Jones value of a closure by the syllable-level transfer.
+
+    States map matchings to polynomials in s, each packed into one int as
+    its value at s = 2^width. Every state carries the factor (s^2+1)^j
+    after j syllables and the common power s^shift, so that syllable x_g^a
+    only shifts and adds:
+
+        identity:           s^2 + 1
+        e_g:                s - (-1)^a s^(2a+1)
+        e_g closing a loop: (-1)^a s^(2a) (s^2 + 1)
+
+    all times s^-lo, lo = min(0, 2a), which keeps the exponents
+    nonnegative. These are the bracket's weights in s = A^2 once A^-a is
+    taken out of each syllable; with the writhe normalization (-A)^(3w)
+    the A^-w taken out becomes (-1)^w s^w. The closure weighs each
+    matching by delta^(loops - 1) with delta = -s - s^-1, and one exact
+    division removes (s^2+1)^k.
+    """
+    k = len(syls)
+    # The unscaled syllable maps 1 and beta_a e_g have coefficient L1 norms
+    # 1 and |a|, and delta^(loops-1) has at most 2^(n-1): every coefficient
+    # of the quotient is below 2^(n-1) prod (|a|+1) < 2^(width-1).
+    bits = strands + k + 2 + sum((2 * abs(a) + 2).bit_length() for _, a in syls)
+    width = -(-bits // 8) * 8
+    table = _matchings(strands)
+    states = {table.identity: 1}
+    shift = 0
+    for gen, a in syls:
+        lo = 2 * a if a < 0 else 0
+        shift += lo
+        id0 = -lo * width
+        id1 = id0 + 2 * width
+        e0 = id0 + width
+        e1 = e0 + 2 * a * width
+        loop0 = e1 - width
+        loop1 = e1 + width
+        even = a % 2 == 0
+        act = table.act[gen]
+        nxt: dict[int, int] = {}
+        get = nxt.get
+        for m, c in states.items():
+            to = act.get(m)
+            if to is None:
+                to = table.apply(gen, m)
+            if to == m:
+                v = (c << loop0) + (c << loop1)
+                nxt[m] = get(m, 0) + (v if even else -v)
+            else:
+                nxt[m] = get(m, 0) + (c << id0) + (c << id1)
+                v = c << e1
+                nxt[to] = get(to, 0) + (c << e0) + (-v if even else v)
+        if len(nxt) > TRANSFER_CAP:
+            raise CapExceeded(
+                f"{len(nxt)} transfer states on {strands} strands exceed "
+                f"the cap of {TRANSFER_CAP}"
+            )
+        states = nxt
+    step = (1 << 2 * width) + 1  # s^2 + 1
+    by_loops: dict[int, int] = {}
+    for m, c in states.items():
+        loops = table.loops(m)
+        by_loops[loops] = by_loops.get(loops, 0) + c
+    total = 0
+    for loops, c in by_loops.items():
+        # s^(n-1) delta^(loops-1) = (-1)^(loops-1) s^(n-loops) (s^2+1)^(loops-1)
+        v = (c << (strands - loops) * width) * step ** (loops - 1)
+        total += v if loops % 2 else -v
+    quot, rem = divmod(total, step**k)
+    if rem:
+        raise NotDivisible(f"transfer total is not divisible by (s^2+1)^{k}")
+    writhe = sum(a for _, a in syls)
+    return _unpack(quot, width, shift - (strands - 1) + writhe, -1 if writhe % 2 else 1)
+
+
+def _unpack(packed: int, width: int, low: int, sign: int) -> LaurentPoly:
+    # signed base-2^width digits: bias each by half the base so none borrows
+    size = width // 8
+    count = packed.bit_length() // width + 1
+    half = 1 << (width - 1)
+    bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    raw = (packed + bias).to_bytes(count * size, "little")
+    coeffs = {}
+    for i in range(count):
+        digit = int.from_bytes(raw[i * size : (i + 1) * size], "little") - half
+        if digit:
+            coeffs[low + i] = sign * digit
+    return LaurentPoly._make(coeffs)
 
 
 class FamilySweep:

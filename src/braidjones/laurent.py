@@ -206,7 +206,11 @@ class LaurentPoly:
         sorted once, and exponents first reached by a subtraction wait on a
         heap. An exact division costs O(t d log t) for t dividend and
         quotient terms and d divisor terms, however wide the gaps between
-        exponents; nothing is allocated over the exponent span.
+        exponents; nothing is allocated over the exponent span. That bound
+        holds only when the division is exact: a failing one raises when the
+        remainder drops below the dividend's order, so
+        ``(s^N + 2).exact_div(s^2 + 1)`` walks all N/2 quotient terms down
+        the gap before it raises.
 
         >>> LaurentPoly.parse("-s^7 - s^5 - s^3 - s").exact_div(
         ...     LaurentPoly.parse("s^2 + 1")).text()

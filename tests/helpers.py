@@ -13,6 +13,8 @@ from braidjones.braid import BraidWord, ExponentFamily, Syllable
 DESTABILIZATION_CHAIN = "B600: " + " ".join(f"x{i}" for i in range(1, 600))
 # 599 split unions of 600 unknots
 SPLIT_CHAIN = "B1200: " + " ".join(f"x{i}" for i in range(1, 1200, 2))
+# connected sum of 599 Hopf links, value (-s^5 - s)^599
+SQUARE_CHAIN = "B600: " + " ".join(f"x{i}^2" for i in range(1, 600))
 
 
 def random_word(

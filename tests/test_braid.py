@@ -115,23 +115,6 @@ class TestCombinatorics:
         assert w.rotated(3) == w
         assert w.rotated(-1) == w.rotated(2)
 
-    def test_destabilized(self):
-        w = parse_braid("B3: x1^2 x2")
-        d = w.destabilized()
-        assert d is not None
-        assert d.strands == 2
-        assert d.text() == "B2: x1^2"
-        assert parse_braid("B3: x1 x2 x1 x2").destabilized() is None
-
-    def test_split_absent(self):
-        w = parse_braid("B4: x1^2 x3^5")
-        parts = w.split_absent()
-        assert parts is not None
-        left, right = parts
-        assert left.text() == "B2: x1^2"
-        assert right.text() == "B2: x1^5"
-        assert parse_braid("B3: x1 x2").split_absent() is None
-
     def test_with_exponent_and_without_syllable(self):
         w = parse_braid("B3: x1^2 x2")
         assert w.with_exponent(0, 7).text() == "B3: x1^7 x2"

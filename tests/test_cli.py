@@ -5,10 +5,12 @@ import json
 
 import pytest
 
+from braidjones import engine
 from braidjones.cli import main
 from braidjones.engine import unlink_value
+from braidjones.laurent import LaurentPoly
 
-from .helpers import DESTABILIZATION_CHAIN, SPLIT_CHAIN
+from .helpers import DESTABILIZATION_CHAIN, SPLIT_CHAIN, SQUARE_CHAIN
 
 
 def run(capsys, *argv):
@@ -55,6 +57,19 @@ class TestJones:
         assert code == 0
         assert out == unlink_value(600).text() + "\n"
 
+    def test_long_square_chain(self, capsys):
+        code, out, _ = run(capsys, "jones", SQUARE_CHAIN)
+        assert code == 0
+        assert out == (LaurentPoly.parse("-s^5 - s") ** 599).text() + "\n"
+
+    def test_transfer_cap_exits_one(self, capsys, monkeypatch):
+        monkeypatch.setattr(engine, "TRANSFER_CAP", 2)
+        code, out, err = run(capsys, "jones", "B3: x1 x2 x1 x2")
+        assert code == 1
+        assert out == ""
+        assert "cap of 2" in err
+        assert "--engine" not in err  # no cap flag to raise on this route
+
     def test_parse_error_exits_one(self, capsys):
         code, out, err = run(capsys, "jones", "B3: y1")
         assert code == 1
@@ -78,6 +93,7 @@ class TestJones:
         )
         assert code == 1
         assert "cap" in err.lower()
+        assert "--engine recurrence" in err
 
 
 class TestFamily:

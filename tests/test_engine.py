@@ -1,13 +1,22 @@
-"""Recurrence engine: skein steps, expansion, memoized evaluation."""
+"""Recurrence engine: skein steps, expansion, transfer evaluation."""
 from __future__ import annotations
 
+import ast
+import inspect
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidjones.braid import BraidWord, Syllable, parse_braid, parse_family
+from braidjones import bracket, engine
+from braidjones.braid import (
+    BraidWord,
+    CapExceeded,
+    Syllable,
+    parse_braid,
+    parse_family,
+)
 from braidjones.bracket import jones_via_bracket
 from braidjones.engine import (
     SKEIN_SPEC,
@@ -25,7 +34,7 @@ from braidjones.engine import (
 )
 from braidjones.fibonacci import s_basis
 from braidjones.laurent import LaurentPoly
-from .helpers import DESTABILIZATION_CHAIN, SPLIT_CHAIN, random_word
+from .helpers import DESTABILIZATION_CHAIN, SPLIT_CHAIN, SQUARE_CHAIN, random_word
 
 V = LaurentPoly.parse
 S2P1 = V("s^2 + 1")
@@ -33,6 +42,14 @@ S2P1 = V("s^2 + 1")
 small_polys = st.lists(
     st.tuples(st.integers(-4, 4), st.integers(-6, 6)), max_size=4
 ).map(LaurentPoly)
+
+
+@st.composite
+def small_words(draw):
+    strands = draw(st.integers(2, 5))
+    syllable = st.tuples(st.integers(1, strands - 1), st.integers(-4, 4))
+    syls = draw(st.lists(syllable, max_size=6))
+    return BraidWord(strands, tuple(Syllable(g, e) for g, e in syls))
 
 
 class TestSteps:
@@ -123,6 +140,15 @@ class TestExpansion:
         word = parse_braid("B3: x1^1003 x2^-998 x1^1001 x2^995")
         assert expansion_value(word, {}) == jones(word, {})
 
+    def test_expansion_equals_engine_wide_digits(self):
+        # coefficients near 1.6e11, packed with large mixed-sign shifts
+        word = parse_braid(
+            "B4: x1^97 x2^-113 x3^88 x1^-101 x2^120 x3^-95 x2^77 x1^-64"
+        )
+        value = jones(word)
+        assert max(abs(c) for _, c in value.terms()) > 10**11
+        assert expansion_value(word, {}) == value
+
 
 class TestEngine:
     def test_agrees_with_oracle_exhaustive_b2(self):
@@ -149,6 +175,56 @@ class TestEngine:
 
     def test_long_split_chain(self):
         assert jones(parse_braid(SPLIT_CHAIN), {}) == unlink_value(600)
+
+    def test_long_square_chain(self):
+        hopf = V("-s^5 - s")
+        assert jones(parse_braid(SQUARE_CHAIN), {}) == hopf**599
+
+    def test_transfer_cap(self, monkeypatch):
+        assert bracket.CapExceeded is CapExceeded
+        monkeypatch.setattr(engine, "TRANSFER_CAP", 3)
+        with pytest.raises(CapExceeded, match="cap of 3"):
+            jones(parse_braid("B4: x1 x2 x3 x1 x2 x3"))
+        # words that cut into two-strand pieces never reach the transfer
+        assert jones(parse_braid("B4: x1^2 x2^3 x3^-2")) == (
+            V("-s^5 - s") * V("-s^8 + s^6 + s^2") * V("-s^-5 - s^-1")
+        )
+
+    def test_never_reaches_oracle(self, monkeypatch):
+        rng = random.Random(15)
+        words = [
+            random_word(rng, n, max_syllables=6, max_abs_exp=4)
+            for n in (3, 4, 5, 6)
+            for _ in range(10)
+        ]
+        expected = [jones_via_bracket(w) for w in words]
+
+        def oracle(*args, **kwargs):
+            raise AssertionError("the engine called the bracket oracle")
+
+        for name in ("jones_via_bracket", "bracket_tl", "bracket_naive"):
+            monkeypatch.setattr(bracket, name, oracle)
+        for word, value in zip(words, expected):
+            assert jones(word) == value, word.text()
+            assert jones(word, {}) == value, word.text()
+
+    def test_engine_source_imports_no_oracle(self):
+        tree = ast.parse(inspect.getsource(engine))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+        assert not any("bracket" in name for name in imported)
+
+    @settings(max_examples=80, deadline=None)
+    @given(small_words())
+    def test_three_routes_agree(self, word):
+        value = jones(word)
+        assert expansion_value(word, {}) == value
+        assert jones_via_bracket(word) == value
 
     def test_memo_isolation(self):
         memo = {}

@@ -141,10 +141,6 @@ class BraidWord:
         syls[index] = Syllable(syls[index].gen, exp)
         return BraidWord(self.strands, tuple(syls))
 
-    def without_syllable(self, index: int) -> BraidWord:
-        syls = self.syllables[:index] + self.syllables[index + 1 :]
-        return BraidWord(self.strands, syls)
-
     # -- text form --------------------------------------------------------
 
     def text(self) -> str:

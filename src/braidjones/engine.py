@@ -27,15 +27,20 @@ relation a whole syllable acts on planar matchings as
     x_i^a = A^-a + beta_a e_i,   (1 + A^4) beta_a = A^(2-a) (1 - (-A^4)^a),
 
 so after scaling every state by (1 + A^4) each syllable applies binomial
-shifts only, and one exact division at the end removes (1 + A^4)^k. The
-state polynomials are packed into single integers (Kronecker substitution),
-so each shift and sum is one integer operation.
+shifts only, and one exact division at the end removes (1 + A^4)^k. An e_i
+move that opens no loop is a saddle on the closure and changes its loop
+count by one, so a matching's polynomial is s^p C(s^2) with p fixed by the
+parity of its loop count (the parity behind Kauffman's state sum). Each C
+is packed into one integer as its value at s^2 = 2^width (Kronecker
+substitution), so each shift and sum is one integer operation, and the
+digits of the final quotient are read back in C through a memoryview.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import sys
 from typing import Iterable, Mapping
 
 from .braid import BraidWord, CapExceeded, ExponentFamily, Syllable, reduce_cyclic
@@ -55,6 +60,9 @@ _DOWN0 = LaurentPoly.monomial(-4)  # s^-4
 # Catalan(12): the live matchings of a 12-strand transfer, the size the
 # oracle's default strand cap admits
 TRANSFER_CAP = 208_012
+# Bits one packed transfer state may reach: 40 times the 0.8 Mbit of the
+# quartic x1^3000 x2^3000 x1^3000 x2^3000, and far below what exhausts memory
+PACKED_BITS_CAP = 1 << 25
 
 MemoTable = dict[tuple[int, tuple[Syllable, ...]], LaurentPoly]
 Syllables = list[tuple[int, int]]  # (generator, exponent) pairs
@@ -234,7 +242,8 @@ class _Matchings:
     of strand t is point t - 1 and its bottom is point 2n - t. A matching
     is a Dyck word, an int whose bit p is set when point p opens a pair.
     ``act[g][m]`` is e_g applied to m, equal to m when e_g closes a loop;
-    entries are filled the first time a transfer meets them.
+    ``odd[m]`` is (loops(m) + strands) mod 2, the parity of the power of s
+    in m's state. Entries are filled the first time a transfer meets them.
     """
 
     def __init__(self, strands: int):
@@ -242,7 +251,9 @@ class _Matchings:
         self.identity = (1 << strands) - 1  # strand t's top paired to its bottom
         self.act: list[dict[int, int]] = [{} for _ in range(strands)]
         self._loops: dict[int, int] = {}
+        self.odd: dict[int, int] = {}
         self.size = strands  # entries held, counting each empty act table as one
+        self.loops(self.identity)
 
     def apply(self, gen: int, m: int) -> int:
         """e_gen on m: cap the bottoms of strands gen and gen + 1, then cup."""
@@ -272,6 +283,7 @@ class _Matchings:
             out = m ^ (1 << p) ^ (1 << j)
         self.act[gen][m] = out
         self.size += 1
+        self.loops(out)  # fills odd[out]
         return out
 
     def loops(self, m: int) -> int:
@@ -299,7 +311,8 @@ class _Matchings:
                     seen[p] = seen[q] = True
                     p = size - 1 - q
             self._loops[m] = count
-            self.size += 1
+            self.odd[m] = (count + self.strands) & 1
+            self.size += 2
         return count
 
 
@@ -320,40 +333,55 @@ def _matchings(strands: int) -> _Matchings:
 def _transfer(strands: int, syls: Syllables) -> LaurentPoly:
     """Jones value of a closure by the syllable-level transfer.
 
-    States map matchings to polynomials in s, each packed into one int as
-    its value at s = 2^width. Every state carries the factor (s^2+1)^j
-    after j syllables and the common power s^shift, so that syllable x_g^a
-    only shifts and adds:
+    States map matchings to polynomials in s. An e_g move that opens no
+    loop is a saddle on the closure, so it changes the closure's loop count
+    by exactly one; the state of matching m is therefore s^odd(m) C(u) in
+    u = s^2, with odd(m) = (loops(m) + n) mod 2, and C is packed into one
+    int as its value at u = 2^width. Every state carries the factor
+    (u + 1)^j after j syllables and the common power s^shift, so that
+    syllable x_g^a only shifts and adds:
 
-        identity:           s^2 + 1
-        e_g:                s - (-1)^a s^(2a+1)
-        e_g closing a loop: (-1)^a s^(2a) (s^2 + 1)
+        identity:           u + 1
+        e_g:                s (1 - (-1)^a u^a)
+        e_g closing a loop: (-1)^a u^a (u + 1)
 
-    all times s^-lo, lo = min(0, 2a), which keeps the exponents
-    nonnegative. These are the bracket's weights in s = A^2 once A^-a is
-    taken out of each syllable; with the writhe normalization (-A)^(3w)
-    the A^-w taken out becomes (-1)^w s^w. The closure weighs each
-    matching by delta^(loops - 1) with delta = -s - s^-1, and one exact
-    division removes (s^2+1)^k.
+    all times u^-h, h = min(0, a), which keeps the exponents nonnegative.
+    The factor s of an e_g move goes into odd(to) from an even state and
+    becomes one more factor u from an odd one. These are the bracket's
+    weights in s = A^2 once A^-a is taken out of each syllable; with the
+    writhe normalization (-A)^(3w) the A^-w taken out becomes (-1)^w s^w.
+    The closure weighs each matching by delta^(loops - 1) with
+    delta = -s - s^-1, and one exact division removes (u + 1)^k. Raises
+    CapExceeded, before any packing, when one packed state could exceed
+    ``PACKED_BITS_CAP`` bits.
     """
     k = len(syls)
     # The unscaled syllable maps 1 and beta_a e_g have coefficient L1 norms
     # 1 and |a|, and delta^(loops-1) has at most 2^(n-1): every coefficient
     # of the quotient is below 2^(n-1) prod (|a|+1) < 2^(width-1).
     bits = strands + k + 2 + sum((2 * abs(a) + 2).bit_length() for _, a in syls)
-    width = -(-bits // 8) * 8
+    width = max(8, 1 << (bits - 1).bit_length())  # a power of two, for _unpack
+    # a syllable raises a state's degree in u by at most |a| + 1, the closure
+    # by at most n
+    span = width * (strands + sum(abs(a) + 1 for _, a in syls))
+    if span > PACKED_BITS_CAP:
+        raise CapExceeded(
+            f"a packed transfer state of up to {span} bits exceeds "
+            f"the cap of {PACKED_BITS_CAP} bits"
+        )
     table = _matchings(strands)
+    odd = table.odd
     states = {table.identity: 1}
     shift = 0
     for gen, a in syls:
-        lo = 2 * a if a < 0 else 0
-        shift += lo
-        id0 = -lo * width
-        id1 = id0 + 2 * width
-        e0 = id0 + width
-        e1 = e0 + 2 * a * width
-        loop0 = e1 - width
-        loop1 = e1 + width
+        h = a if a < 0 else 0
+        shift += 2 * h
+        id0 = -h * width
+        id1 = id0 + width
+        e0 = (id0, id1)  # the e_g shift out of an even state, an odd state
+        e1 = a * width  # the further shift of its second term
+        loop0 = id0 + e1
+        loop1 = loop0 + width
         even = a % 2 == 0
         act = table.act[gen]
         nxt: dict[int, int] = {}
@@ -367,23 +395,26 @@ def _transfer(strands: int, syls: Syllables) -> LaurentPoly:
                 nxt[m] = get(m, 0) + (v if even else -v)
             else:
                 nxt[m] = get(m, 0) + (c << id0) + (c << id1)
-                v = c << e1
-                nxt[to] = get(to, 0) + (c << e0) + (-v if even else v)
+                x = e0[odd[m]]
+                v = c << (x + e1)
+                nxt[to] = get(to, 0) + (c << x) + (-v if even else v)
         if len(nxt) > TRANSFER_CAP:
             raise CapExceeded(
                 f"{len(nxt)} transfer states on {strands} strands exceed "
                 f"the cap of {TRANSFER_CAP}"
             )
         states = nxt
-    step = (1 << 2 * width) + 1  # s^2 + 1
+    step = (1 << width) + 1  # u + 1
     by_loops: dict[int, int] = {}
     for m, c in states.items():
         loops = table.loops(m)
         by_loops[loops] = by_loops.get(loops, 0) + c
     total = 0
     for loops, c in by_loops.items():
-        # s^(n-1) delta^(loops-1) = (-1)^(loops-1) s^(n-loops) (s^2+1)^(loops-1)
-        v = (c << (strands - loops) * width) * step ** (loops - 1)
+        # s^odd s^(n-1) delta^(loops-1)
+        #   = (-1)^(loops-1) s^(n-loops+odd) (u+1)^(loops-1), n-loops+odd even
+        up = (strands - loops + ((strands + loops) & 1)) // 2
+        v = (c << up * width) * step ** (loops - 1)
         total += v if loops % 2 else -v
     quot, rem = divmod(total, step**k)
     if rem:
@@ -393,18 +424,32 @@ def _transfer(strands: int, syls: Syllables) -> LaurentPoly:
 
 
 def _unpack(packed: int, width: int, low: int, sign: int) -> LaurentPoly:
-    # signed base-2^width digits: bias each by half the base so none borrows
-    size = width // 8
+    """The polynomial whose coefficient at s^(low + 2i) is sign times digit i.
+
+    ``packed`` is the value at 2^width of a polynomial whose coefficients
+    (its signed digits) lie strictly between -2^(width-1) and 2^(width-1);
+    ``width`` is 8, 16, 32 or a multiple of 64. Adding half the base to
+    every digit leaves no borrows, and flipping that bit back leaves each
+    digit in two's complement, so the digits are read in C: as one signed
+    limb up to 64 bits, else as 64-bit limbs, the top one signed, joined by
+    map.
+    """
+    limb = min(width, 64)
+    per = width // limb  # limbs to a digit
     count = packed.bit_length() // width + 1
-    half = 1 << (width - 1)
+    size = width // 8
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
-    raw = (packed + bias).to_bytes(count * size, "little")
-    coeffs = {}
-    for i in range(count):
-        digit = int.from_bytes(raw[i * size : (i + 1) * size], "little") - half
-        if digit:
-            coeffs[low + i] = sign * digit
-    return LaurentPoly._make(coeffs)
+    twos = (sign * packed + bias) ^ bias
+    raw = memoryview(twos.to_bytes(count * size, sys.byteorder))
+    order = 1 if sys.byteorder == "little" else -1  # least significant limb first
+    fmt = "bhiq"[limb.bit_length() - 4]
+    digits = raw.cast(fmt)[::order][per - 1 :: per]
+    lows = raw.cast(fmt.upper())[::order]
+    for j in range(per - 2, -1, -1):
+        high = map(int.__lshift__, digits, itertools.repeat(64))
+        digits = list(map(int.__add__, high, lows[j::per]))
+    exps = range(low, low + 2 * count, 2)
+    return LaurentPoly._make(dict(itertools.compress(zip(exps, digits), digits)))
 
 
 class FamilySweep:

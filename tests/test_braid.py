@@ -115,10 +115,9 @@ class TestCombinatorics:
         assert w.rotated(3) == w
         assert w.rotated(-1) == w.rotated(2)
 
-    def test_with_exponent_and_without_syllable(self):
+    def test_with_exponent(self):
         w = parse_braid("B3: x1^2 x2")
         assert w.with_exponent(0, 7).text() == "B3: x1^7 x2"
-        assert w.without_syllable(1).text() == "B3: x1^2"
 
 
 class TestProperties:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -69,6 +70,19 @@ class TestJones:
         assert out == ""
         assert "cap of 2" in err
         assert "--engine" not in err  # no cap flag to raise on this route
+
+    def test_huge_exponent_exits_one(self, capsys):
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "jones", "B2: x1^1000000000000000")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 1
+        assert out == ""
+        assert err.startswith("braidjones: ") and "cap of" in err
+        assert "Traceback" not in err
+        assert peak < 1 << 20
 
     def test_parse_error_exits_one(self, capsys):
         code, out, err = run(capsys, "jones", "B3: y1")

@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import inspect
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -190,6 +191,36 @@ class TestEngine:
             V("-s^5 - s") * V("-s^8 + s^6 + s^2") * V("-s^-5 - s^-1")
         )
 
+    @pytest.mark.parametrize(
+        "text", ["B2: x1^1000000000000000", "B3: x1^-1000000000000000 x2 x1 x2"]
+    )
+    def test_huge_exponent_fails_fast(self, text):
+        word = parse_braid(text)
+        cap = f"cap of {engine.PACKED_BITS_CAP} bits"
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match=cap):
+                jones(word)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    def test_wide_words_agree_with_oracle(self):
+        # every generator twice, so the transfer runs on all 6-9 strands and
+        # meets states of both parities; two syllables have |a| of 20-40
+        rng = random.Random(16)
+        for strands in (6, 7, 8, 9):
+            for _ in range(2):
+                gens = list(range(1, strands)) * 2
+                rng.shuffle(gens)
+                syls = [Syllable(g, rng.choice((-2, -1, 1, 2, 3))) for g in gens]
+                for i in rng.sample(range(len(syls)), 2):
+                    exp = rng.choice((-1, 1)) * rng.randint(20, 40)
+                    syls[i] = Syllable(syls[i].gen, exp)
+                word = BraidWord(strands, tuple(syls))
+                assert jones(word) == jones_via_bracket(word), word.text()
+
     def test_never_reaches_oracle(self, monkeypatch):
         rng = random.Random(15)
         words = [
@@ -244,6 +275,22 @@ class TestEngine:
                 tuple(Syllable(s.gen, -s.exp) for s in word.syllables),
             )
             assert jones(mirror) == jones(word).inverse_variable()
+
+
+class TestUnpack:
+    @pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 192])
+    def test_round_trip(self, width):
+        top = (1 << width - 1) - 1
+        rng = random.Random(width)
+        edges = [0, 0, top, -top, 0, 0, 0, 1, -1, top, top, -top, -top]
+        noise = [rng.choice((0, 0, rng.randint(-top, top))) for _ in range(200)]
+        for digits in (edges + [1], edges + [-1], edges + noise + [-top], [top]):
+            packed = sum(d << width * i for i, d in enumerate(digits))
+            for low, sign in ((-7, 1), (4, -1)):
+                expected = LaurentPoly(
+                    {low + 2 * i: sign * d for i, d in enumerate(digits)}
+                )
+                assert engine._unpack(packed, width, low, sign) == expected
 
 
 class TestFamilySweep:

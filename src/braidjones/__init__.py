@@ -10,19 +10,17 @@ the variable s.
 
 from __future__ import annotations
 
+import importlib
+
 from .braid import (
     BoundsError,
     BraidWord,
     CapExceeded,
     ExponentFamily,
+    InvariantViolation,
     Syllable,
     parse_braid,
     parse_family,
-)
-from .bracket import (
-    bracket_naive,
-    bracket_tl,
-    jones_via_bracket,
 )
 from .engine import (
     FamilySweep,
@@ -37,29 +35,47 @@ from .engine import (
     step_up,
     unlink_value,
 )
-from .fibonacci import FibSpec, coefficient_table, general_term, s_basis
 from .laurent import LaurentPoly, NotDivisible, ParseError
-from .analysis import (
-    Classification,
-    InvariantViolation,
-    RECLASSIFY,
-    Stability,
-    UnitSearchResult,
-    UnitWindow,
-    alternating_closed_form,
-    alternating_recurrences_check,
-    alternating_word,
-    classify_pair,
-    degree_audit,
-    leading_term_scan,
-    leading_term_table,
-    order_bound_check,
-    predict_degrees,
-    two_strand_closed_form,
-    unit_search,
-    unit_window,
-)
-from .selftest import CheckResult, run_selftest
+
+# Names outside the evaluator bind on first use (PEP 562), so importing the
+# package does not load the oracle, the analysis layer or the self-test.
+_LAZY = {
+    "bracket": ("bracket_naive", "bracket_tl", "jones_via_bracket"),
+    "fibonacci": ("FibSpec", "coefficient_table", "general_term", "s_basis"),
+    "analysis": (
+        "Classification",
+        "RECLASSIFY",
+        "Stability",
+        "UnitSearchResult",
+        "UnitWindow",
+        "alternating_closed_form",
+        "alternating_recurrences_check",
+        "alternating_word",
+        "classify_pair",
+        "degree_audit",
+        "leading_term_scan",
+        "leading_term_table",
+        "order_bound_check",
+        "predict_degrees",
+        "two_strand_closed_form",
+        "unit_search",
+        "unit_window",
+    ),
+    "selftest": ("CheckResult", "run_selftest"),
+}
+_LAZY_NAMES = {name: module for module, names in _LAZY.items() for name in names}
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        return importlib.import_module(f".{name}", __name__)
+    module = _LAZY_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -18,17 +18,13 @@ import itertools
 import random
 from typing import Sequence
 
-from .braid import BraidWord, ExponentFamily, Syllable
+from .braid import BraidWord, ExponentFamily, InvariantViolation, Syllable
 from .engine import FamilySweep, LOOP_VALUE, MemoTable, jones, step_up
 from .laurent import ONE, LaurentPoly
 
 
 class ZeroPolynomial(ValueError):
     """A Jones value was unexpectedly zero (this should be impossible)."""
-
-
-class InvariantViolation(RuntimeError):
-    """A verified structural property failed on actual data."""
 
 
 # -- stability of exponent families ------------------------------------
@@ -401,12 +397,19 @@ def leading_term_table(pairs: int, memo: MemoTable | None = None) -> list[TableR
     """
     if pairs < 1:
         raise ValueError("need at least one syllable pair")
+    # the moves are invertible, so one closure is a whole class: every
+    # member maps to its least word and no member is closed over again
+    least: dict[tuple[int, ...], tuple[int, ...]] = {}
     groups: dict[tuple[int, tuple[int, ...]], list[tuple[int, ...]]] = {}
     for bits in itertools.product((0, 1), repeat=2 * pairs):
         letters = tuple(
             1 if i % 2 == 0 else 2 for i, b in enumerate(bits) if b
         )
-        canon = min(_conjugate_closure(letters)) if letters else ()
+        canon = least.get(letters)
+        if canon is None:
+            members = _conjugate_closure(letters)
+            canon = min(members)
+            least.update(dict.fromkeys(members, canon))
         delta = 2 * pairs - sum(bits)
         groups.setdefault((delta, canon), []).append(bits)
     rows: list[TableRow] = []

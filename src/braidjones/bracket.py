@@ -76,6 +76,19 @@ class _LoopCounter:
 def bracket_naive(word: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> BracketPoly:
     """Bracket of the closure by brute force over all smoothing states.
 
+    One depth-first walk over the smoothing choices, letter by letter, so
+    that states share the work of their common prefix. The wire segments
+    live in an undoable union-find (union by size, no path compression,
+    undone in LIFO order from a log) with a running count of its classes.
+    A cap-cup smoothing joins the two incoming wires and opens the cup
+    wire; the pass-through smoothing changes nothing. Once the last letter
+    on a strand position is smoothed, the wire there is final, so the
+    closure joins it to the top of that position at that depth rather than
+    at every state below it. Each of the ``2^c`` states is then a leaf
+    whose class count is its loop count. The walk keeps its own stack
+    rather than recursing, so the crossing cap is the only limit on its
+    depth. It shares no code with ``bracket_tl`` or the evaluator.
+
     Exponential in the crossing count; guarded by ``max_crossings``.
     """
     letters = list(word.letters())
@@ -85,25 +98,77 @@ def bracket_naive(word: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) -
             f"{c} crossings exceed the naive cap of {max_crossings} (2^{c} states)"
         )
     n = word.strands
+    # closes[d]: the positions whose last letter is letter d
+    last: dict[int, int] = {}
+    for d, (gen, _) in enumerate(letters):
+        last[gen - 1] = last[gen] = d
+    closes: list[list[int]] = [[] for _ in range(c)]
+    for p, d in last.items():
+        closes[d].append(p)
+    # wires 0..n-1 leave the top of the braid; wire n+d is the cup of letter d
+    parent = list(range(n + c))
+    size = [1] * (n + c)
+    current = list(range(n))  # the wire at each position, at depth d
+    log: list[int] = []  # the root each join attached, oldest first
+    # per depth: the next choice (0 pass, 1 cap, 2 done), the log length
+    # before its joins and the two wires a cap replaced
+    step = [0] * (c + 1)
+    mark = [0] * c
+    replaced = [(0, 0)] * c
     tally: dict[tuple[int, int], int] = {}
-    for state in range(1 << c):
-        uf = _LoopCounter()
-        start = [uf.fresh() for _ in range(n)]
-        current = list(start)
-        a_exp = 0
-        for bit, (gen, direction) in enumerate(letters):
-            cap = (state >> bit) & 1
-            a_exp += direction * (1 if cap else -1)
-            if cap:
-                i = gen - 1
-                uf.union(current[i], current[i + 1])
-                wire = uf.fresh()
-                current[i] = wire
-                current[i + 1] = wire
-        for i in range(n):
-            uf.union(current[i], start[i])
-        key = (a_exp, uf.classes())
-        tally[key] = tally.get(key, 0) + 1
+    loops = n  # classes of the wires opened so far
+    a_exp = 0
+    d = 0
+    while d >= 0:
+        if d == c:
+            key = (a_exp, loops)
+            tally[key] = tally.get(key, 0) + 1
+            d -= 1
+            continue
+        gen, direction = letters[d]
+        i = gen - 1
+        choice = step[d]
+        step[d] = choice + 1
+        if choice == 0:
+            mark[d] = len(log)
+            a_exp -= direction
+            pairs = []
+        else:
+            # undo the joins of the previous choice at this depth
+            while len(log) > mark[d]:
+                y = log.pop()
+                x = parent[y]
+                size[x] -= size[y]
+                parent[y] = y
+                loops += 1
+            if choice == 2:
+                a_exp -= direction
+                current[i], current[i + 1] = replaced[d]
+                loops -= 1
+                d -= 1
+                continue
+            a_exp += 2 * direction
+            x, y = replaced[d] = current[i], current[i + 1]
+            current[i] = current[i + 1] = n + d
+            loops += 1
+            pairs = [(x, y)]
+        for p in closes[d]:
+            if current[p] != p:
+                pairs.append((current[p], p))
+        for x, y in pairs:
+            while parent[x] != x:
+                x = parent[x]
+            while parent[y] != y:
+                y = parent[y]
+            if x != y:
+                if size[x] < size[y]:
+                    x, y = y, x
+                parent[y] = x
+                size[x] += size[y]
+                log.append(y)
+                loops -= 1
+        d += 1
+        step[d] = 0
     result = LaurentPoly()
     for (a_exp, loops), count in tally.items():
         result = result + LaurentPoly.monomial(a_exp, count) * _delta_power(loops - 1)

@@ -1,4 +1,4 @@
-"""Braid words in syllable form, and the cost cap error of the evaluators.
+"""Braid words in syllable form, and the errors the whole package raises.
 
 A word is a sequence of syllables ``x_i^a`` on a fixed number of strands.
 Closures are taken cyclically, so the canonical form merges syllables
@@ -24,6 +24,10 @@ class BoundsError(ValueError):
 
 class CapExceeded(RuntimeError):
     """Input is larger than the configured cost cap for this evaluator."""
+
+
+class InvariantViolation(RuntimeError):
+    """A verified structural property failed on actual data."""
 
 
 @dataclasses.dataclass(frozen=True)

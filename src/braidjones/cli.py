@@ -9,6 +9,9 @@ built-in consistency checks (``selftest``).
 
 Exit codes: 0 on success, 1 on usage or parse errors (including cost
 caps), 2 when a verified structural property fails on actual data.
+
+The analysis, bracket and selftest modules are imported by the handlers
+that use them, so a command pays only for the code it runs.
 """
 
 from __future__ import annotations
@@ -20,15 +23,20 @@ import random
 import re
 import sys
 import time
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from . import analysis
-from .analysis import InvariantViolation, Stability
-from .braid import BoundsError, CapExceeded, parse_braid, parse_family
-from .bracket import jones_via_bracket
+from .braid import (
+    BoundsError,
+    CapExceeded,
+    InvariantViolation,
+    parse_braid,
+    parse_family,
+)
 from .engine import FamilySweep, GeneratingFunction, jones
 from .laurent import LaurentPoly, ParseError
-from .selftest import run_selftest
+
+if TYPE_CHECKING:
+    from .analysis import DegreeReport
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,6 +95,8 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 def _cmd_jones(args: argparse.Namespace) -> int:
     word = parse_braid(args.braid)
     if args.engine == "oracle":
+        from .bracket import jones_via_bracket
+
         value = jones_via_bracket(
             word, args.max_naive_crossings, args.max_strands
         )
@@ -123,6 +133,8 @@ def _cmd_genfun(args: argparse.Namespace) -> int:
 
 
 def _cmd_classify(args: argparse.Namespace) -> int:
+    from . import analysis
+
     family = parse_family(args.family)
     sweep = FamilySweep(family)
     e = args.at
@@ -139,7 +151,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     if args.predict is not None:
         m = args.predict
         v_e2 = sweep[e + 2] if (
-            cls.kind is Stability.CRITICAL and cls.coeff_sum == 0
+            cls.kind is analysis.Stability.CRITICAL and cls.coeff_sum == 0
         ) else None
         prediction = analysis.predict_degrees(cls, v_e, v_e1, m, v_e2)
         if prediction is analysis.RECLASSIFY:
@@ -181,7 +193,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def _report_dict(report: analysis.DegreeReport) -> dict:
+def _report_dict(report: DegreeReport) -> dict:
     return {
         "exponents": list(report.exponents),
         "total": report.total,
@@ -195,6 +207,8 @@ def _report_dict(report: analysis.DegreeReport) -> dict:
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
+    from . import analysis
+
     if args.exps is not None:
         report = analysis.degree_audit(_parse_ints(args.exps))
         if args.json:
@@ -242,6 +256,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
+    from . import analysis
+
     rows = analysis.leading_term_table(args.pairs)
     if args.json:
         for row in rows:
@@ -273,6 +289,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
 
 
 def _cmd_units(args: argparse.Namespace) -> int:
+    from . import analysis
+
     family = parse_family(args.family)
     result = analysis.unit_search(family)
     window = result.window
@@ -322,6 +340,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "naive_states": 2**crossings,
     }
     if args.compare == "naive":
+        from .bracket import jones_via_bracket
+
         try:
             start = time.perf_counter()
             # max_strands=0 forces the brute-force state sum route
@@ -352,6 +372,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
+    from .selftest import run_selftest
+
     results = run_selftest()
     failed = [r for r in results if not r.ok]
     if args.json:

@@ -1,6 +1,8 @@
 """Degree propagation, closed forms, census tables, unit search."""
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from braidjones import analysis
@@ -253,6 +255,30 @@ class TestCensus:
             (0, "x1^3 x2", 1, "-s^8", 8),
         ]
         assert sum(r.count for r in rows) == 16
+
+    @pytest.mark.parametrize("pairs", range(1, 7))
+    def test_one_closure_per_class(self, pairs):
+        # the census as first built: one conjugate closure per bit vector
+        groups = {}
+        for bits in itertools.product((0, 1), repeat=2 * pairs):
+            letters = tuple(1 if i % 2 == 0 else 2 for i, b in enumerate(bits) if b)
+            canon = min(analysis._conjugate_closure(letters)) if letters else ()
+            groups.setdefault((2 * pairs - sum(bits), canon), []).append(bits)
+        expected = []
+        for (delta, canon), members in groups.items():
+            value = jones(analysis._letters_to_word(canon))
+            expected.append(
+                analysis.TableRow(
+                    delta=delta,
+                    bits=max(members),
+                    word=analysis._letters_text(canon),
+                    count=len(members),
+                    leading=LaurentPoly.monomial(value.degree, value.leading).text(),
+                    degree=delta + value.degree,
+                )
+            )
+        expected.sort(key=lambda r: (-r.delta, tuple(-b for b in r.bits)))
+        assert leading_term_table(pairs) == expected
 
     def test_pairs_lower_bound(self):
         with pytest.raises(ValueError):

@@ -1,21 +1,42 @@
 """State-sum oracle: bracket polynomial and its normalized closure value."""
 from __future__ import annotations
 
+import ast
+import inspect
 import random
+import textwrap
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from braidjones.bracket import (
+    DELTA,
     CapExceeded,
     bracket_naive,
     bracket_tl,
     jones_via_bracket,
 )
-from braidjones.braid import parse_braid
+from braidjones.braid import BraidWord, Syllable, parse_braid
 from braidjones.laurent import LaurentPoly
 from .helpers import random_word
 
 V = LaurentPoly.parse
+
+
+@st.composite
+def oracle_words(draw, max_crossings: int = 14):
+    """Words on 1-6 strands with at most ``max_crossings`` crossings."""
+    strands = draw(st.integers(min_value=1, max_value=6))
+    syllables: list[Syllable] = []
+    left = draw(st.integers(min_value=0, max_value=max_crossings))
+    while strands > 1 and left:
+        mag = draw(st.integers(min_value=1, max_value=min(4, left)))
+        sign = draw(st.sampled_from((1, -1)))
+        gen = draw(st.integers(min_value=1, max_value=strands - 1))
+        syllables.append(Syllable(gen, sign * mag))
+        left -= mag
+    return BraidWord(strands, tuple(syllables))
 
 
 class TestFixtures:
@@ -58,6 +79,37 @@ class TestRoutesAgree:
         for _ in range(15):
             w = random_word(rng, 5, max_syllables=3, max_abs_exp=2)
             assert bracket_naive(w) == bracket_tl(w), w.text()
+
+    @settings(max_examples=60, deadline=None)
+    @given(oracle_words())
+    @example(parse_braid("B1:"))
+    @example(parse_braid("B5:"))
+    @example(parse_braid("B4: x1^3 x2^-2 x1 x2^4"))  # strand 4 untouched
+    @example(parse_braid("B6: x5^-4 x4^3 x5^-4 x4^3"))  # 14 crossings
+    def test_state_sum_equals_transfer(self, word):
+        assert bracket_naive(word) == bracket_tl(word), word.text()
+
+    def test_untouched_strand_is_one_more_loop(self):
+        inner = parse_braid("B3: x1^3 x2^-2 x1 x2^4")
+        outer = parse_braid("B4: x1^3 x2^-2 x1 x2^4")
+        assert bracket_naive(outer) == bracket_naive(inner) * DELTA
+
+
+class TestNaiveWalk:
+    def test_no_recursion_and_no_other_route(self):
+        # the walk keeps its own stack, so no depth of word can reach the
+        # recursion limit, and it shares no code with the other routes
+        tree = ast.parse(textwrap.dedent(inspect.getsource(bracket_naive)))
+        (func,) = tree.body
+        nested = [
+            node
+            for node in ast.walk(func)
+            if node is not func
+            and isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        ]
+        assert nested == []
+        names = {node.id for node in ast.walk(func) if isinstance(node, ast.Name)}
+        assert not names & {"bracket_naive", "bracket_tl", "jones", "engine"}
 
 
 class TestInvariance:

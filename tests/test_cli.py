@@ -2,10 +2,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
+import braidjones
 from braidjones import engine
 from braidjones.cli import main
 from braidjones.engine import unlink_value
@@ -108,6 +112,23 @@ class TestJones:
         assert code == 1
         assert "cap" in err.lower()
         assert "--engine recurrence" in err
+
+    # above the transfer's 12-strand cap the oracle is the naive state sum
+    WIDE = "B13: x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12 x1^-2 x12"
+
+    def test_oracle_above_twelve_strands(self, capsys):
+        code, via_oracle, err = run(capsys, "jones", self.WIDE, "--engine", "oracle")
+        assert (code, err) == (0, "")
+        _, direct, _ = run(capsys, "jones", self.WIDE)
+        assert via_oracle == direct
+
+    def test_oracle_above_twelve_strands_cap(self, capsys):
+        word = self.WIDE + " x1^-5 x2^-3 x12^2"  # 25 crossings
+        code, out, err = run(capsys, "jones", word, "--engine", "oracle")
+        assert (code, out) == (1, "")
+        assert "25 crossings exceed the naive cap of 24" in err
+        assert "--engine recurrence" in err
+        assert "Traceback" not in err
 
 
 class TestFamily:
@@ -291,6 +312,11 @@ class TestTables:
         ]
         assert sum(r["count"] for r in records) == 16
 
+    def test_six_pair_census(self, capsys):
+        code, records, _ = run_json(capsys, "tables", "--pairs", "6")
+        assert code == 0
+        assert sum(r["count"] for r in records) == 2**12
+
     def test_text_mode_has_header(self, capsys):
         code, out, _ = run(capsys, "tables", "--pairs", "1")
         assert code == 0
@@ -355,3 +381,50 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 1
+
+
+class TestImportBoundary:
+    # each command runs in a fresh interpreter, so what it imports is seen
+    SCRIPT = (
+        "import json, sys\n"
+        "from braidjones.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('braidjones'))\n"
+        "print(json.dumps({'code': code, 'loaded': loaded}))\n"
+    )
+
+    def fresh(self, *args):
+        src = os.path.dirname(os.path.dirname(braidjones.__file__))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", *args],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["jones", "B3: x1 x2^-1 x1"],
+            ["jones", "B3: x1 x2^-1 x1", "--engine", "oracle"],
+            ["bench", "--braid", "B3: x1^3 x2^-2", "--compare", "naive"],
+        ],
+    )
+    def test_commands_skip_analysis_and_selftest(self, argv):
+        report = json.loads(self.fresh(self.SCRIPT, *argv)[-1])
+        assert report["code"] == 0
+        assert "braidjones.analysis" not in report["loaded"]
+        assert "braidjones.selftest" not in report["loaded"]
+
+    def test_every_public_name_resolves(self):
+        script = (
+            "import braidjones\n"
+            "missing = [n for n in braidjones.__all__ "
+            "if getattr(braidjones, n, None) is None]\n"
+            "print(missing)\n"
+        )
+        assert self.fresh(script) == ["[]"]

@@ -31,7 +31,6 @@ from .engine import (
     jones,
     skein_weights,
     square_free_value,
-    step_down,
     step_up,
     unlink_value,
 )
@@ -41,7 +40,7 @@ from .laurent import LaurentPoly, NotDivisible, ParseError
 # package does not load the oracle, the analysis layer or the self-test.
 _LAZY = {
     "bracket": ("bracket_naive", "bracket_tl", "jones_via_bracket"),
-    "fibonacci": ("FibSpec", "coefficient_table", "general_term", "s_basis"),
+    "fibonacci": ("FibSpec", "general_term", "s_basis"),
     "analysis": (
         "Classification",
         "RECLASSIFY",
@@ -104,7 +103,6 @@ __all__ = [
     "bracket_naive",
     "bracket_tl",
     "classify_pair",
-    "coefficient_table",
     "degree_audit",
     "expand",
     "expansion_value",
@@ -122,7 +120,6 @@ __all__ = [
     "s_basis",
     "skein_weights",
     "square_free_value",
-    "step_down",
     "step_up",
     "two_strand_closed_form",
     "unit_search",

@@ -501,7 +501,10 @@ def unit_window(
     family: ExponentFamily, memo: MemoTable | None = None
 ) -> UnitWindow:
     """Certified finite window containing every possible unit exponent."""
-    sweep = FamilySweep(family, memo)
+    return _scan_window(FamilySweep(family, memo))
+
+
+def _scan_window(sweep: FamilySweep) -> UnitWindow:
     e = 0
     while True:
         lo_ord = int(sweep[e].order)
@@ -536,8 +539,8 @@ def unit_search(
     at most two unit exponents, and when there are two they differ by
     exactly 2. A violation raises InvariantViolation.
     """
-    window = unit_window(family, memo)
     sweep = FamilySweep(family, memo)
+    window = _scan_window(sweep)
     hits = tuple(
         e for e in range(window.lo, window.hi + 1) if sweep[e] == ONE
     )

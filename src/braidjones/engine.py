@@ -44,7 +44,7 @@ import sys
 from typing import Iterable, Mapping
 
 from .braid import BraidWord, CapExceeded, ExponentFamily, Syllable, reduce_cyclic
-from .fibonacci import FibSpec, series_denominator, series_weight
+from .fibonacci import FibSpec, general_term
 from .laurent import ONE, LaurentPoly, NotDivisible
 
 # the recurrence in any one syllable exponent has these roots
@@ -52,10 +52,6 @@ SKEIN_SPEC = FibSpec(r1=LaurentPoly.monomial(1, -1), r2=LaurentPoly.monomial(3))
 
 LOOP_VALUE = LaurentPoly({1: -1, -1: -1})  # value of one extra unknot component
 _S2P1 = LaurentPoly({2: 1, 0: 1})  # s^2 + 1, the expansion denominator
-_UP1 = LaurentPoly({3: 1, 1: -1})  # s^3 - s
-_UP0 = LaurentPoly.monomial(4)  # s^4
-_DOWN1 = LaurentPoly({-3: 1, -1: -1})  # s^-3 - s^-1
-_DOWN0 = LaurentPoly.monomial(-4)  # s^-4
 
 # Catalan(12): the live matchings of a 12-strand transfer, the size the
 # oracle's default strand cap admits
@@ -68,14 +64,7 @@ MemoTable = dict[tuple[int, tuple[Syllable, ...]], LaurentPoly]
 Syllables = list[tuple[int, int]]  # (generator, exponent) pairs
 
 
-def step_up(v_e: LaurentPoly, v_e1: LaurentPoly) -> LaurentPoly:
-    """V(e+2) from (V(e), V(e+1))."""
-    return _UP1 * v_e1 + _UP0 * v_e
-
-
-def step_down(v_e1: LaurentPoly, v_e2: LaurentPoly) -> LaurentPoly:
-    """V(e) from (V(e+1), V(e+2)); inverts :func:`step_up`."""
-    return _DOWN1 * v_e1 + _DOWN0 * v_e2
+step_up = SKEIN_SPEC.step  # V(e+2) from (V(e), V(e+1))
 
 
 def skein_weights(exp: int) -> tuple[LaurentPoly, LaurentPoly]:
@@ -453,10 +442,13 @@ def _unpack(packed: int, width: int, low: int, sign: int) -> LaurentPoly:
 
 
 class FamilySweep:
-    """Lazy two-sided table of Jones values of a one-slot family.
+    """Jones values of a one-slot family at any slot exponent.
 
-    Evaluates the word at slot exponents 0 and 1 once, then extends in
-    either direction by the exponent recurrence.
+    Evaluates the word at slot exponents 0 and 1 once. Every other value,
+    negative exponents included, is the closed-form expansion
+    V(e) = (S_0[e] V(0) + S_1[e] V(1)) / D of :func:`general_term`, so it
+    costs time and memory in proportion to its own size, not to e. Each
+    value asked for is kept for repeated lookups.
     """
 
     def __init__(self, family: ExponentFamily, memo: MemoTable | None = None):
@@ -469,15 +461,11 @@ class FamilySweep:
         if not vals:
             vals[0] = jones(self.family.instantiate(0), self._memo)
             vals[1] = jones(self.family.instantiate(1), self._memo)
-        hi = max(vals)
-        while exp > hi:
-            vals[hi + 1] = step_up(vals[hi - 1], vals[hi])
-            hi += 1
-        lo = min(vals)
-        while exp < lo:
-            vals[lo - 1] = step_down(vals[lo], vals[lo + 1])
-            lo -= 1
-        return vals[exp]
+        v = vals.get(exp)
+        if v is None:
+            seeds = {(0,): vals[0], (1,): vals[1]}
+            v = vals[exp] = general_term(SKEIN_SPEC, seeds, (exp,))
+        return v
 
     def __getitem__(self, exp: int) -> LaurentPoly:
         return self.value(exp)
@@ -509,18 +497,14 @@ class GeneratingFunction:
 
     with q(t) = (1 + s t)(1 - s^3 t) = 1 - (s^3 - s) t - s^4 t^2,
     Q_0(t) = 1 - (s^3 - s) t and Q_1(t) = t. The 2^k corner seeds are the
-    only braid evaluations needed; coefficients come from unrolling the
-    1/q series per variable.
+    only braid evaluations needed. The coefficient of t^n in Q_j(t)/q(t) is
+    S_j[n]/D of the closed-form basis :func:`s_basis`, so a coefficient is
+    one :func:`general_term` over the corner seeds, at any exponents.
     """
 
     strands: int
     indices: tuple[int, ...]
     seeds: Mapping[tuple[int, ...], LaurentPoly]
-
-    # per-variable numerator and denominator, as {t power: coefficient}
-    Q0 = {0: ONE, 1: -_UP1}
-    Q1 = {1: ONE}
-    DENOMINATOR = {0: ONE, 1: -_UP1, 2: -_UP0}
 
     @classmethod
     def build(
@@ -552,11 +536,4 @@ class GeneratingFunction:
             raise ValueError("exponent count does not match the index sequence")
         if any(a < 0 for a in exps):
             raise ValueError("series coefficients need nonnegative exponents")
-        den = series_denominator(SKEIN_SPEC, max(exps))
-        total = LaurentPoly()
-        for bits, seed in self.seeds.items():
-            term = seed
-            for a, j in zip(exps, bits):
-                term = term * series_weight(SKEIN_SPEC, j, a, den)
-            total = total + term
-        return total
+        return general_term(SKEIN_SPEC, self.seeds, exps)

@@ -15,9 +15,12 @@ with D = r2 - r1 and the basis pair
 The same corner seeds drive the rational generating function
 ``sum x[n*] t1^n1 ... tp^np = prod q(t_i)^-1 * sum_J prod Q_{j_i}(t_i) x[J]``
 with ``q(t) = (1 - r1 t)(1 - r2 t)``, ``Q_0 = 1 - beta t``, ``Q_1 = t``.
+The Taylor coefficient of ``Q_j(t) / q(t)`` at t^n is exactly S_j[n] / D,
+so a series coefficient is the closed-form entry above: :func:`general_term`
+serves both, at any index, with no table of earlier entries.
 
 Everything here is ring-generic over the integers or LaurentPoly; the
-division by D^p is exact whenever the seeds come from an actual sequence.
+division by D^p is always exact, since every basis entry is a multiple of D.
 Negative indices are supported when both roots are invertible (for
 integers that means 1 or -1, for Laurent polynomials unit monomials).
 """
@@ -25,6 +28,7 @@ integers that means 1 or -1, for Laurent polynomials unit monomials).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from typing import Mapping, Sequence
 
@@ -63,7 +67,10 @@ def _exact_div(num: Ring, den: Ring) -> Ring:
 
 @dataclasses.dataclass(frozen=True)
 class FibSpec:
-    """A two-term recurrence given by its distinct characteristic roots."""
+    """A two-term recurrence given by its distinct characteristic roots.
+
+    beta, gamma and diff are computed once per spec and then kept.
+    """
 
     r1: Ring
     r2: Ring
@@ -72,15 +79,15 @@ class FibSpec:
         if self.r1 == self.r2:
             raise ValueError("characteristic roots must be distinct")
 
-    @property
+    @functools.cached_property
     def beta(self) -> Ring:
         return self.r1 + self.r2
 
-    @property
+    @functools.cached_property
     def gamma(self) -> Ring:
         return -(self.r1 * self.r2)
 
-    @property
+    @functools.cached_property
     def diff(self) -> Ring:
         return self.r2 - self.r1
 
@@ -108,84 +115,18 @@ def general_term(
     """Entry of a multi-index solution from its {0,1}^p corner seeds.
 
     ``seeds`` must contain every bit vector of the same length as
-    ``index``. Division by D^p is exact for consistent seeds and raises
-    NotDivisible otherwise.
+    ``index``. The sum is contracted one coordinate at a time, last first,
+    so it takes 2^(p+1) - 2 products rather than p 2^p. Every basis entry
+    is a ring multiple of D, so the division by D^p is always exact.
     """
     index = tuple(index)
-    p = len(index)
-    if not p:
+    if not index:
         raise ValueError("index must have at least one coordinate")
-    basis = [s_basis(spec, n) for n in index]
-    total: Ring = 0
-    for bits in itertools.product((0, 1), repeat=p):
-        term = seeds[bits]
-        for pair, j in zip(basis, bits):
-            term = term * pair[j]
-        total = total + term
-    return _exact_div(total, spec.diff**p)
-
-
-def series_denominator(spec: FibSpec, upto: int) -> list[Ring]:
-    """Taylor coefficients of 1/q(t) with q(t) = (1 - r1 t)(1 - r2 t).
-
-    Entry m is the coefficient of t^m; it satisfies the recurrence itself
-    with seeds 1, beta.
-    """
-    if upto < 0:
-        raise ValueError("series length must be >= 0")
-    out: list[Ring] = [1 if isinstance(spec.r1, int) else LaurentPoly.monomial(0, 1)]
-    if upto >= 1:
-        out.append(spec.beta)
-    while len(out) <= upto:
-        out.append(spec.step(out[-2], out[-1]))
-    return out
-
-
-def series_weight(spec: FibSpec, j: int, n: int, den: Sequence[Ring]) -> Ring:
-    """Coefficient of t^n in Q_j(t)/q(t), given the 1/q series ``den``.
-
-    Q_0(t) = 1 - beta t and Q_1(t) = t, so the weights reduce to shifted
-    denominator coefficients: gamma * den[n-2] and den[n-1].
-    """
-    if n < 0:
-        raise ValueError("series weights are defined for n >= 0")
-    zero: Ring = 0
-    if j == 0:
-        if n == 0:
-            return den[0]
-        if n == 1:
-            return zero
-        return spec.gamma * den[n - 2]
-    if j == 1:
-        return den[n - 1] if n >= 1 else zero
-    raise ValueError("j must be 0 or 1")
-
-
-def coefficient_table(
-    spec: FibSpec,
-    seeds: Mapping[tuple[int, ...], Ring],
-    upto: int,
-) -> dict[tuple[int, ...], Ring]:
-    """All generating function coefficients with indices in [0, upto]^p.
-
-    Extracting the coefficient of t1^n1 ... tp^np factors through the
-    per-variable series weights; the result agrees with
-    :func:`general_term` entry by entry.
-    """
-    some_key = next(iter(seeds))
-    p = len(some_key)
-    den = series_denominator(spec, upto)
-    weights = [
-        (series_weight(spec, 0, n, den), series_weight(spec, 1, n, den))
-        for n in range(upto + 1)
-    ]
-    table: dict[tuple[int, ...], Ring] = {}
-    for index in itertools.product(range(upto + 1), repeat=p):
-        total: Ring = 0
-        for bits, seed in seeds.items():
-            term = seed
-            for coord, j in enumerate(bits):
-                term = term * weights[index[coord]][j]
-            total = total + term
-        table[index] = total
-    return table
+    layer = seeds
+    for depth in range(len(index) - 1, -1, -1):
+        s0, s1 = s_basis(spec, index[depth])
+        layer = {
+            bits: layer[bits + (0,)] * s0 + layer[bits + (1,)] * s1
+            for bits in itertools.product((0, 1), repeat=depth)
+        }
+    return _exact_div(layer[()], spec.diff ** len(index))

@@ -182,14 +182,16 @@ class LaurentPoly:
     def __pow__(self, n: int) -> LaurentPoly:
         if not isinstance(n, int):
             return NotImplemented
-        if n < 0:
-            # only monomials with unit coefficient are invertible here
-            if len(self._coeffs) != 1:
-                raise ValueError("negative power of a non-monomial")
+        if len(self._coeffs) == 1:
+            # a monomial's power is one term; only unit coefficients invert
             ((exp, c),) = self._coeffs.items()
+            if n >= 0:
+                return LaurentPoly._make({exp * n: c**n})
             if c not in (1, -1):
                 raise ValueError("negative power of a non-unit coefficient")
             return LaurentPoly._make({exp * n: c if n % 2 else 1})
+        if n < 0:
+            raise ValueError("negative power of a non-monomial")
         result = ONE
         base = self
         while n:

@@ -5,12 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 
 import pytest
 
 import braidjones
 from braidjones import engine
+from braidjones.braid import parse_braid
 from braidjones.cli import main
 from braidjones.engine import unlink_value
 from braidjones.laurent import LaurentPoly
@@ -197,6 +199,23 @@ class TestGenfun:
         assert code == 1
         assert "nonnegative" in err
 
+    def test_large_coefficient(self, capsys):
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys,
+            "genfun",
+            "--strands",
+            "3",
+            "--indices",
+            "1,2,1",
+            "--coeff",
+            "2000,3,2000",
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        word = parse_braid("B3: x1^2000 x2^3 x1^2000")
+        assert out.strip() == engine.jones(word).text()
+
     def test_coeff_and_upto_conflict(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(
@@ -248,6 +267,22 @@ class TestClassify:
         assert rec["kind"] == "critical"
         assert rec["coeff_sum"] == 0
         assert rec["prediction"] == "reclassify"
+
+    def test_prediction_at_large_exponent(self, capsys):
+        start = time.perf_counter()
+        code, records, _ = run_json(
+            capsys,
+            "classify",
+            "B3: x1^2 x2^@ x1^-3 x2",
+            "--at",
+            "100000",
+            "--predict",
+            "3",
+        )
+        assert time.perf_counter() - start < 5.0
+        assert code == 0
+        (rec,) = records
+        assert rec["agree"] is True
 
     def test_text_mode_prints_kind(self, capsys):
         code, out, _ = run(capsys, "classify", "B2: x1^@", "--at", "2")

@@ -4,6 +4,7 @@ from __future__ import annotations
 import ast
 import inspect
 import random
+import time
 import tracemalloc
 
 import pytest
@@ -29,7 +30,6 @@ from braidjones.engine import (
     jones,
     skein_weights,
     square_free_value,
-    step_down,
     step_up,
     unlink_value,
 )
@@ -39,10 +39,6 @@ from .helpers import DESTABILIZATION_CHAIN, SPLIT_CHAIN, SQUARE_CHAIN, random_wo
 
 V = LaurentPoly.parse
 S2P1 = V("s^2 + 1")
-
-small_polys = st.lists(
-    st.tuples(st.integers(-4, 4), st.integers(-6, 6)), max_size=4
-).map(LaurentPoly)
 
 
 @st.composite
@@ -65,11 +61,6 @@ class TestSteps:
         v0, v1 = jones(fam.instantiate(0)), jones(fam.instantiate(1))
         assert step_up(v0, v1) == jones(fam.instantiate(2))
         assert step_up(v1, step_up(v0, v1)) == jones(fam.instantiate(3))
-
-    @given(small_polys, small_polys)
-    def test_step_down_inverts_step_up(self, a, b):
-        assert step_down(b, step_up(a, b)) == a
-        assert step_up(step_down(a, b), a) == b
 
     @given(st.integers(min_value=-8, max_value=8))
     def test_weights_solve_recurrence(self, a):
@@ -314,6 +305,22 @@ class TestFamilySweep:
         lo = sweep[-5]  # then down
         assert hi == jones(fam.instantiate(5))
         assert lo == jones(fam.instantiate(-5))
+
+    @pytest.mark.parametrize("exp", [10**4, -(10**4)])
+    def test_large_exponent_is_one_closed_form(self, exp):
+        # no table of the exponents in between: time and memory follow the
+        # size of the one value asked for
+        fam = parse_family("B3: x1^2 x2^@ x1^-3 x2")
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            value = FamilySweep(fam)[exp]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 5.0
+        assert peak < 8 << 20
+        assert value == jones(fam.instantiate(exp))
 
 
 class TestGeneratingFunction:

@@ -7,15 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from braidjones.fibonacci import (
-    FibSpec,
-    NonInvertibleRoot,
-    coefficient_table,
-    general_term,
-    s_basis,
-    series_denominator,
-    series_weight,
-)
+from braidjones.engine import SKEIN_SPEC
+from braidjones.fibonacci import FibSpec, NonInvertibleRoot, general_term, s_basis
 from braidjones.laurent import LaurentPoly
 
 INT_SPEC = FibSpec(1, 2)  # x_{n+2} = 3x_{n+1} - 2x_n
@@ -125,42 +118,21 @@ class TestGeneralTerm:
 
 
 class TestSeries:
-    @given(int_pairs)
-    def test_denominator_solves_recurrence(self, roots):
-        spec = FibSpec(*roots)
-        den = series_denominator(spec, 8)
-        assert den[0] == 1
-        assert den[1] == spec.beta
-        for m in range(2, 9):
-            assert den[m] == spec.step(den[m - 2], den[m - 1])
-
-    def test_denominator_is_geometric_sum(self):
-        # 1/((1 - t)(1 - 2t)) has coefficients 2^{m+1} - 1
-        den = series_denominator(INT_SPEC, 10)
-        assert den == [2 ** (m + 1) - 1 for m in range(11)]
-
-    def test_weight_edge_cases(self):
-        den = series_denominator(INT_SPEC, 6)
-        assert series_weight(INT_SPEC, 0, 0, den) == 1
-        assert series_weight(INT_SPEC, 0, 1, den) == 0
-        assert series_weight(INT_SPEC, 1, 0, den) == 0
-        assert series_weight(INT_SPEC, 1, 1, den) == 1
-        with pytest.raises(ValueError):
-            series_weight(INT_SPEC, 2, 0, den)
-        with pytest.raises(ValueError):
-            series_weight(INT_SPEC, 0, -1, den)
-
-    @given(int_pairs)
-    def test_table_matches_general_term(self, roots):
-        spec = FibSpec(*roots)
-
-        def closed(m, n):
-            return (spec.r1**m + spec.r2**m) * (spec.r1**n - 3 * spec.r2**n)
-
-        seeds = {
-            bits: closed(*bits) for bits in itertools.product((0, 1), repeat=2)
-        }
-        table = coefficient_table(spec, seeds, 5)
-        for index, value in table.items():
-            assert value == general_term(spec, seeds, index)
-            assert value == closed(*index)
+    @given(
+        st.one_of(int_pairs.map(lambda roots: FibSpec(*roots)), st.just(SKEIN_SPEC)),
+        st.sampled_from((0, 1)),
+    )
+    def test_rational_generating_function(self, spec, j):
+        # q(t) * sum_n (S_j[n] / D) t^n = Q_j(t) mod t^12, where
+        # q(t) = 1 - beta t - gamma t^2, Q_0(t) = 1 - beta t and Q_1(t) = t
+        seeds = {(0,): 1 - j, (1,): j}  # general_term then reads S_j[n] / D
+        coeffs = [general_term(spec, seeds, (n,)) for n in range(12)]
+        assert [c * spec.diff for c in coeffs] == [s_basis(spec, n)[j] for n in range(12)]
+        product = [
+            coeffs[n]
+            - (spec.beta * coeffs[n - 1] if n >= 1 else 0)
+            - (spec.gamma * coeffs[n - 2] if n >= 2 else 0)
+            for n in range(12)
+        ]
+        numerator = [1, -spec.beta] if j == 0 else [0, 1]
+        assert product == numerator + [0] * 10

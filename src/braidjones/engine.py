@@ -32,8 +32,11 @@ move that opens no loop is a saddle on the closure and changes its loop
 count by one, so a matching's polynomial is s^p C(s^2) with p fixed by the
 parity of its loop count (the parity behind Kauffman's state sum). Each C
 is packed into one integer as its value at s^2 = 2^width (Kronecker
-substitution), so each shift and sum is one integer operation, and the
-digits of the final quotient are read back in C through a memoryview.
+substitution), so each shift and sum is one integer operation. The width
+is chosen once per word, from a proved bound on the coefficients of its
+value (:func:`_coefficient_bound`); every part and twist is packed at that
+width, their quotients are multiplied as integers, and the digits of the
+product are read back once, in C, through a memoryview.
 """
 
 from __future__ import annotations
@@ -153,10 +156,13 @@ def expansion_value(word: BraidWord, memo: MemoTable | None = None) -> LaurentPo
 def jones(word: BraidWord, memo: MemoTable | None = None) -> LaurentPoly:
     """Jones polynomial of the closure of a braid word.
 
-    Exact over the integers in the variable s. Nothing is cached unless a
-    dict is passed as ``memo``, which then maps canonical forms to final
-    values. Raises CapExceeded when a transfer would hold more than
-    ``TRANSFER_CAP`` matchings at once.
+    Exact over the integers in the variable s. One digit width serves the
+    whole call: each cut part and twist is evaluated packed at that width,
+    the packed values are multiplied as integers, and the product's digits
+    are read once. Nothing is cached unless a dict is passed as ``memo``,
+    which then maps canonical forms to final values. Raises CapExceeded
+    when a transfer would hold more than ``TRANSFER_CAP`` matchings at once
+    or a packed state more than ``PACKED_BITS_CAP`` bits.
     """
     key = None
     if memo is not None:
@@ -165,22 +171,32 @@ def jones(word: BraidWord, memo: MemoTable | None = None) -> LaurentPoly:
         cached = memo.get(key)
         if cached is not None:
             return cached
+    # one digit width for every part and twist: only the product is read
+    # back, and its digits are the coefficients of this word's value
+    syls = reduce_cyclic((s.gen, s.exp) for s in word.syllables)
+    width = _width(word.strands, [a for _, a in syls])
     twists: dict[int, int] = {}  # exponent of a lone generator -> count
-    value = ONE
-    for strands, syls in _split_lone(word, twists):
-        part = _transfer(strands, syls)
-        value = part if value is ONE else value * part
+    factors = [(n, part, 1) for n, part in _split_lone(word.strands, syls, twists)]
+    # the torus links T(2, exp); the unknot's value is 1
     for exp, count in twists.items():
         if exp not in (1, -1):
-            twist = _transfer(2, [(1, exp)])  # the torus link T(2, exp)
-            value = value * (twist if count == 1 else twist**count)
+            factors.append((2, [(1, exp)], count))
+    packed, low, sign = 1, 0, 1
+    for strands, part, count in factors:
+        quot, part_low, part_sign = _transfer(strands, part, width)
+        packed *= quot**count
+        low += part_low * count
+        sign *= part_sign**count
+    value = _unpack(packed, width, low, sign)
     if key is not None:
         memo[key] = value
     return value
 
 
-def _split_lone(word: BraidWord, twists: dict[int, int]) -> list[tuple[int, Syllables]]:
-    """Parts of the closure in which every generator occurs twice or more.
+def _split_lone(
+    strands: int, syls: Syllables, twists: dict[int, int]
+) -> list[tuple[int, Syllables]]:
+    """Parts of the closure of ``syls`` in which each generator occurs twice or more.
 
     A generator x_g in at most one syllable x_g^a cuts the closure: the
     syllables on generators below g commute with those above g, and the
@@ -191,7 +207,7 @@ def _split_lone(word: BraidWord, twists: dict[int, int]) -> list[tuple[int, Syll
     syllables that the cut separated may merge.
     """
     parts: list[tuple[int, Syllables]] = []
-    todo = [(word.strands, [(s.gen, s.exp) for s in word.syllables])]
+    todo = [(strands, syls)]
     while todo:
         strands, syls = todo.pop()
         syls = reduce_cyclic(syls)
@@ -319,16 +335,55 @@ def _matchings(strands: int) -> _Matchings:
     return table
 
 
-def _transfer(strands: int, syls: Syllables) -> LaurentPoly:
-    """Jones value of a closure by the syllable-level transfer.
+def _width(strands: int, exps: Iterable[int]) -> int:
+    """Digit width of a packed value, a power of two from 8 up.
 
-    States map matchings to polynomials in s. An e_g move that opens no
-    loop is a saddle on the closure, so it changes the closure's loop count
-    by exactly one; the state of matching m is therefore s^odd(m) C(u) in
-    u = s^2, with odd(m) = (loops(m) + n) mod 2, and C is packed into one
-    int as its value at u = 2^width. Every state carries the factor
-    (u + 1)^j after j syllables and the common power s^shift, so that
-    syllable x_g^a only shifts and adds:
+    The smallest whose signed digits exceed :func:`_coefficient_bound` of a
+    closure on ``strands`` strands with syllable exponents ``exps``.
+    """
+    bits = _coefficient_bound(strands, exps).bit_length() + 1
+    return max(8, 1 << (bits - 1).bit_length())  # a power of two, for _unpack
+
+
+def _coefficient_bound(strands: int, exps: Iterable[int]) -> int:
+    """A bound 2^(n-1) F on every |coefficient| of a closure's value.
+
+    Here F = 1 + sum_i prod_{j>i} (1 + a_(j)) over the exponents sorted by
+    size, |a_(1)| >= ... >= |a_(k)|. Proof, on the transfer of
+    :func:`_transfer` divided by (u + 1)^k, with u = s^2: a syllable x_g^a
+    maps a matching m to itself times a signed monomial (the identity, and
+    e_g when it closes a loop), and, when e_g opens no loop, to e_g m times
+    a signed monomial times the geometric sum G_a = sum_{i<|a|} (-u)^i. So
+    the value is a sum over the sets T of syllables whose e_g branch a path
+    takes, one path per T, each a signed monomial times prod_{t in T} G_t
+    (G_t a monomial where e_g closes a loop) times the closure weight
+    delta^(L-1), whose coefficients in u have absolute sum 2^(L-1) <=
+    2^(n-1). A product of unit geometric sums has coefficients at most the
+    product of the lengths of all but the longest, so grouping each T by
+    its longest member i leaves sum over subsets of the later members,
+    prod_{j>i} (1 + a_(j)), and T empty adds 1. As prod (1 + a_j) =
+    1 + sum_i a_(i) prod_{j>i} (1 + a_(j)), F never exceeds prod (1 + |a|).
+    """
+    total = grow = 1
+    for a in sorted(map(abs, exps)):  # from the shortest sum up
+        total += grow
+        grow *= 1 + a
+    return total << (strands - 1)
+
+
+def _transfer(strands: int, syls: Syllables, width: int) -> tuple[int, int, int]:
+    """Jones value of a closure by the syllable-level transfer, packed.
+
+    Returns (quotient, low, sign): the value is sign times the polynomial
+    whose coefficient at s^(low + 2i) is digit i of quotient in base
+    2^width, the form that :func:`_unpack` reads; ``width`` comes from
+    :func:`_width`. States map matchings to polynomials in s. An e_g move
+    that opens no loop is a saddle on the closure, so it changes the
+    closure's loop count by exactly one; the state of matching m is
+    therefore s^odd(m) C(u) in u = s^2, with odd(m) = (loops(m) + n) mod 2,
+    and C is packed into one int as its value at u = 2^width. Every state
+    carries the factor (u + 1)^j after j syllables and the common power
+    s^shift, so that syllable x_g^a only shifts and adds:
 
         identity:           u + 1
         e_g:                s (1 - (-1)^a u^a)
@@ -345,11 +400,6 @@ def _transfer(strands: int, syls: Syllables) -> LaurentPoly:
     ``PACKED_BITS_CAP`` bits.
     """
     k = len(syls)
-    # The unscaled syllable maps 1 and beta_a e_g have coefficient L1 norms
-    # 1 and |a|, and delta^(loops-1) has at most 2^(n-1): every coefficient
-    # of the quotient is below 2^(n-1) prod (|a|+1) < 2^(width-1).
-    bits = strands + k + 2 + sum((2 * abs(a) + 2).bit_length() for _, a in syls)
-    width = max(8, 1 << (bits - 1).bit_length())  # a power of two, for _unpack
     # a syllable raises a state's degree in u by at most |a| + 1, the closure
     # by at most n
     span = width * (strands + sum(abs(a) + 1 for _, a in syls))
@@ -409,7 +459,7 @@ def _transfer(strands: int, syls: Syllables) -> LaurentPoly:
     if rem:
         raise NotDivisible(f"transfer total is not divisible by (s^2+1)^{k}")
     writhe = sum(a for _, a in syls)
-    return _unpack(quot, width, shift - (strands - 1) + writhe, -1 if writhe % 2 else 1)
+    return quot, shift - (strands - 1) + writhe, -1 if writhe % 2 else 1
 
 
 def _unpack(packed: int, width: int, low: int, sign: int) -> LaurentPoly:

@@ -8,7 +8,7 @@ import time
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from braidjones import bracket, engine
@@ -41,11 +41,25 @@ V = LaurentPoly.parse
 S2P1 = V("s^2 + 1")
 
 
+# a two-component link whose cut leaves one transfer part and the twists
+# T(2, -2119) and T(2, -3829), and its copy with exponents about a tenth
+FOUND_B5 = "B5: x3^-2119 x1^1440 x4^-2561 x2^517 x2^-2050 x1^2448 x4^-1268 x2^2746"
+FOUND_B5_SCALED = "B5: x3^-212 x1^144 x4^-256 x2^52 x2^-205 x1^245 x4^-127 x2^275"
+
+
 @st.composite
 def small_words(draw):
     strands = draw(st.integers(2, 5))
     syllable = st.tuples(st.integers(1, strands - 1), st.integers(-4, 4))
     syls = draw(st.lists(syllable, max_size=6))
+    return BraidWord(strands, tuple(Syllable(g, e) for g, e in syls))
+
+
+@st.composite
+def wide_words(draw):
+    strands = draw(st.integers(2, 9))
+    syllable = st.tuples(st.integers(1, strands - 1), st.integers(-30, 30))
+    syls = draw(st.lists(syllable, max_size=8))
     return BraidWord(strands, tuple(Syllable(g, e) for g, e in syls))
 
 
@@ -282,6 +296,63 @@ class TestUnpack:
                     {low + 2 * i: sign * d for i, d in enumerate(digits)}
                 )
                 assert engine._unpack(packed, width, low, sign) == expected
+
+
+class TestPackedWidth:
+    @settings(max_examples=120, deadline=None)
+    @given(wide_words())
+    @example(BraidWord(9))  # delta^8 alone
+    @example(parse_braid("B9: x4^3"))
+    @example(parse_braid("B7: x1 x3 x5 x2^-2 x4^2 x6^-2"))
+    @example(parse_braid("B3: x1^30 x2^30 x1^30 x2^30"))
+    def test_coefficients_within_bound(self, word):
+        exps = [s.exp for s in word.syllables]
+        bound = engine._coefficient_bound(word.strands, exps)
+        assert bound < 1 << engine._width(word.strands, exps) - 1
+        assert all(abs(c) <= bound for _, c in jones(word).terms()), word.text()
+
+    @pytest.mark.parametrize("a, width", [(811, 32), (812, 64)])
+    def test_boundary_quartics(self, a, width):
+        word = parse_braid(f"B3: x1^{a} x2^{a} x1^{a} x2^{a}")
+        assert engine._width(3, [a] * 4) == width
+        assert jones(word) == expansion_value(word)
+
+    def test_found_word_is_fast(self):
+        word = parse_braid(FOUND_B5)
+        start = time.perf_counter()
+        value = jones(word)
+        assert time.perf_counter() - start < 5.0
+        assert value.evaluate(1) == (-2) ** (word.components() - 1)
+
+    def test_found_word_scaled(self):
+        word = parse_braid(FOUND_B5_SCALED)
+        assert jones(word) == expansion_value(word)
+
+    def test_parts_multiply_packed(self, monkeypatch):
+        # x3^a with |a| > 1 cuts each word into a twist and two blocks, on
+        # x1, x2 and on x4, x5, each generator in two syllables
+        rng = random.Random(17)
+        exps = (-3, -2, -1, 1, 2, 3)
+        words = [parse_braid(FOUND_B5_SCALED)]
+        for _ in range(12):
+            left, right = [1, 1, 2, 2], [4, 4, 5, 5]
+            rng.shuffle(left)
+            rng.shuffle(right)
+            syls = [Syllable(g, rng.choice(exps)) for g in left]
+            syls.append(Syllable(3, rng.choice((-3, -2, 2, 3))))
+            syls += [Syllable(g, rng.choice(exps)) for g in right]
+            words.append(BraidWord(6, tuple(syls)))
+        expected = [expansion_value(words[0])]
+        expected += [jones_via_bracket(w) for w in words[1:]]
+
+        def ring_product(*args):
+            raise AssertionError("jones multiplied in the ring")
+
+        monkeypatch.setattr(LaurentPoly, "__mul__", ring_product)
+        monkeypatch.setattr(LaurentPoly, "__pow__", ring_product)
+        for word, value in zip(words, expected):
+            assert jones(word) == value, word.text()
+            assert jones(word, {}) == value, word.text()
 
 
 class TestFamilySweep:

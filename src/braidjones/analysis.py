@@ -12,11 +12,10 @@ that the window searched is exhaustive.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import itertools
 import random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .braid import BraidWord, ExponentFamily, InvariantViolation, Syllable
 from .engine import FamilySweep, LOOP_VALUE, MemoTable, jones, step_up
@@ -36,8 +35,7 @@ class Stability(enum.Enum):
     CRITICAL = "critical"
 
 
-@dataclasses.dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     """Stability class of a consecutive pair, with the coefficient sum C."""
 
     kind: Stability
@@ -68,8 +66,7 @@ def classify_pair(v_e: LaurentPoly, v_e1: LaurentPoly) -> Classification:
     return Classification(kind, v_e.leading + v_e1.leading)
 
 
-@dataclasses.dataclass(frozen=True)
-class Prediction:
+class Prediction(NamedTuple):
     """Predicted degree and leading coefficient of V(e+m)."""
 
     degree: int
@@ -215,8 +212,7 @@ def alternating_closed_form(length: int) -> LaurentPoly:
     return LaurentPoly(terms)
 
 
-@dataclasses.dataclass(frozen=True)
-class RecurrenceReport:
+class RecurrenceReport(NamedTuple):
     """Outcome of the alternating-word recurrence audit."""
 
     checked: int
@@ -288,8 +284,7 @@ def _alternating_syllable_word(exponents: Sequence[int]) -> BraidWord:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     """Degree bound audit of one word x1^a1 x2^a2 ... with a_i >= 0."""
 
     exponents: tuple[int, ...]
@@ -369,14 +364,14 @@ def _letters_text(letters: Sequence[int]) -> str:
     return " ".join(f"x{g}" + (f"^{e}" if e > 1 else "") for g, e in parts)
 
 
-@dataclasses.dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One conjugacy class of {0,1}-exponent words of fixed syllable count.
 
     ``delta`` is the count of zero exponents, ``bits`` the largest member
     bit vector, ``word`` the least positive word of the class, ``count``
     the number of member bit vectors, ``leading`` the leading term of the
     shared Jones value and ``degree`` that term's exponent plus delta.
+    The field ``count`` shadows the tuple method of that name.
     """
 
     delta: int
@@ -430,8 +425,7 @@ def leading_term_table(pairs: int, memo: MemoTable | None = None) -> list[TableR
     return rows
 
 
-@dataclasses.dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     """Sampled check of the generic leading term s^(3D - 2L)."""
 
     pairs: int
@@ -473,8 +467,7 @@ def leading_term_scan(
 # -- units along a family ------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class UnitWindow:
+class UnitWindow(NamedTuple):
     """Exponent window outside which a family value can never be 1.
 
     Above the window the order certificate pins two consecutive values of
@@ -488,8 +481,7 @@ class UnitWindow:
     degree_anchor: tuple[int, int, int]  # (e, deg V(e), deg V(e-1)), both <= -1
 
 
-@dataclasses.dataclass(frozen=True)
-class UnitSearchResult:
+class UnitSearchResult(NamedTuple):
     window: UnitWindow
     hits: tuple[int, ...]
 

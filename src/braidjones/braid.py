@@ -11,9 +11,8 @@ exponent as ``x1^@``.
 
 from __future__ import annotations
 
-import dataclasses
 import re
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .laurent import ParseError
 
@@ -30,34 +29,43 @@ class InvariantViolation(RuntimeError):
     """A verified structural property failed on actual data."""
 
 
-@dataclasses.dataclass(frozen=True)
-class Syllable:
+# The value classes of the package are named tuples: immutable, hashable,
+# compared by value and cheap to define at import. So they also unpack, and
+# compare equal to plain tuples of their fields. A class that validates its
+# fields subclasses its fields' tuple with its own __new__.
+
+
+class Syllable(NamedTuple):
     """One power ``x_gen^exp`` of an Artin generator."""
 
     gen: int
     exp: int
 
 
-@dataclasses.dataclass(frozen=True)
-class BraidWord:
+class _BraidWordFields(NamedTuple):
+    strands: int
+    syllables: tuple[Syllable, ...] = ()
+
+
+class BraidWord(_BraidWordFields):
     """A braid word on ``strands`` strands.
 
     The syllable list is kept exactly as given; use :meth:`canonical` for
     the cyclically reduced representative. Strand positions are 1-based.
     """
 
-    strands: int
-    syllables: tuple[Syllable, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.strands < 1:
-            raise BoundsError(f"strand count must be >= 1, got {self.strands}")
-        for i, syl in enumerate(self.syllables):
-            if not 1 <= syl.gen <= self.strands - 1:
+    def __new__(cls, strands: int, syllables: tuple[Syllable, ...] = ()) -> BraidWord:
+        if strands < 1:
+            raise BoundsError(f"strand count must be >= 1, got {strands}")
+        for i, syl in enumerate(syllables):
+            if not 1 <= syl.gen <= strands - 1:
                 raise BoundsError(
                     f"syllable {i}: generator x{syl.gen} out of range for "
-                    f"B{self.strands} (need 1..{self.strands - 1})"
+                    f"B{strands} (need 1..{strands - 1})"
                 )
+        return tuple.__new__(cls, (strands, syllables))
 
     # -- basic data -----------------------------------------------------
 
@@ -181,20 +189,24 @@ def reduce_cyclic(syllables: Iterable[tuple[int, int]]) -> list[tuple[int, int]]
     return out[head:]
 
 
-@dataclasses.dataclass(frozen=True)
-class ExponentFamily:
+class _ExponentFamilyFields(NamedTuple):
+    template: BraidWord
+    slot: int
+
+
+class ExponentFamily(_ExponentFamilyFields):
     """A braid word with one variable exponent slot.
 
     ``template`` holds a placeholder exponent at position ``slot``;
     :meth:`instantiate` substitutes the actual exponent.
     """
 
-    template: BraidWord
-    slot: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.slot < len(self.template.syllables):
-            raise BoundsError(f"slot {self.slot} out of range")
+    def __new__(cls, template: BraidWord, slot: int) -> ExponentFamily:
+        if not 0 <= slot < len(template.syllables):
+            raise BoundsError(f"slot {slot} out of range")
+        return tuple.__new__(cls, (template, slot))
 
     @property
     def strands(self) -> int:

@@ -109,9 +109,10 @@ def _cmd_jones(args: argparse.Namespace) -> int:
 def _cmd_family(args: argparse.Namespace) -> int:
     family = parse_family(args.family)
     lo, hi = _parse_range(args.range)
-    sweep = FamilySweep(family)
-    for e in range(lo, hi + 1):
-        _emit(args, f"{family.text()} @ {e}", sweep[e])
+    # each value is printed and dropped: a wide range holds one at a time
+    values = FamilySweep(family).values(lo, hi)
+    for e, value in zip(range(lo, hi + 1), values):
+        _emit(args, f"{family.text()} @ {e}", value)
     return 0
 
 

@@ -41,10 +41,9 @@ product are read back once, in C, through a memoryview.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import sys
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .braid import BraidWord, CapExceeded, ExponentFamily, Syllable, reduce_cyclic
 from .fibonacci import FibSpec, general_term
@@ -62,6 +61,9 @@ TRANSFER_CAP = 208_012
 # Bits one packed transfer state may reach: 40 times the 0.8 Mbit of the
 # quartic x1^3000 x2^3000 x1^3000 x2^3000, and far below what exhausts memory
 PACKED_BITS_CAP = 1 << 25
+# Bits the live states of a transfer may reach together, counting each at
+# the packed bound of one state: 32 MiB
+LIVE_BITS_CAP = 1 << 28
 
 MemoTable = dict[tuple[int, tuple[Syllable, ...]], LaurentPoly]
 Syllables = list[tuple[int, int]]  # (generator, exponent) pairs
@@ -103,8 +105,7 @@ def square_free_value(strands: int, syllable_count: int) -> LaurentPoly:
     return unlink_value(strands - syllable_count)
 
 
-@dataclasses.dataclass(frozen=True)
-class ExpansionTerm:
+class ExpansionTerm(NamedTuple):
     """One summand of the {0,1}-exponent expansion of a word."""
 
     bits: tuple[int, ...]
@@ -161,8 +162,9 @@ def jones(word: BraidWord, memo: MemoTable | None = None) -> LaurentPoly:
     the packed values are multiplied as integers, and the product's digits
     are read once. Nothing is cached unless a dict is passed as ``memo``,
     which then maps canonical forms to final values. Raises CapExceeded
-    when a transfer would hold more than ``TRANSFER_CAP`` matchings at once
-    or a packed state more than ``PACKED_BITS_CAP`` bits.
+    when a transfer would hold more than ``TRANSFER_CAP`` matchings at once,
+    a packed state more than ``PACKED_BITS_CAP`` bits, or its live states
+    more than ``LIVE_BITS_CAP`` bits together.
     """
     key = None
     if memo is not None:
@@ -397,7 +399,8 @@ def _transfer(strands: int, syls: Syllables, width: int) -> tuple[int, int, int]
     The closure weighs each matching by delta^(loops - 1) with
     delta = -s - s^-1, and one exact division removes (u + 1)^k. Raises
     CapExceeded, before any packing, when one packed state could exceed
-    ``PACKED_BITS_CAP`` bits.
+    ``PACKED_BITS_CAP`` bits, and after a syllable when its live states at
+    that bound could exceed ``LIVE_BITS_CAP`` bits together.
     """
     k = len(syls)
     # a syllable raises a state's degree in u by at most |a| + 1, the closure
@@ -441,6 +444,11 @@ def _transfer(strands: int, syls: Syllables, width: int) -> tuple[int, int, int]
             raise CapExceeded(
                 f"{len(nxt)} transfer states on {strands} strands exceed "
                 f"the cap of {TRANSFER_CAP}"
+            )
+        if len(nxt) * span > LIVE_BITS_CAP:
+            raise CapExceeded(
+                f"{len(nxt)} live transfer states of up to {span} bits each "
+                f"exceed the cap of {LIVE_BITS_CAP} bits"
             )
         states = nxt
     step = (1 << width) + 1  # u + 1
@@ -498,27 +506,39 @@ class FamilySweep:
     negative exponents included, is the closed-form expansion
     V(e) = (S_0[e] V(0) + S_1[e] V(1)) / D of :func:`general_term`, so it
     costs time and memory in proportion to its own size, not to e. Each
-    value asked for is kept for repeated lookups.
+    value asked for by :meth:`value` is kept for repeated lookups;
+    :meth:`values` keeps none.
     """
 
     def __init__(self, family: ExponentFamily, memo: MemoTable | None = None):
         self.family = family
         self._memo = memo
         self._values: dict[int, LaurentPoly] = {}
+        self._seeds: dict[tuple[int], LaurentPoly] = {}
+
+    def _seed_values(self) -> dict[tuple[int], LaurentPoly]:
+        seeds = self._seeds
+        if not seeds:
+            for exp in (0, 1):
+                v = jones(self.family.instantiate(exp), self._memo)
+                self._values[exp] = seeds[exp,] = v
+        return seeds
 
     def value(self, exp: int) -> LaurentPoly:
-        vals = self._values
-        if not vals:
-            vals[0] = jones(self.family.instantiate(0), self._memo)
-            vals[1] = jones(self.family.instantiate(1), self._memo)
-        v = vals.get(exp)
+        seeds = self._seed_values()
+        v = self._values.get(exp)
         if v is None:
-            seeds = {(0,): vals[0], (1,): vals[1]}
-            v = vals[exp] = general_term(SKEIN_SPEC, seeds, (exp,))
+            v = self._values[exp] = general_term(SKEIN_SPEC, seeds, (exp,))
         return v
 
     def __getitem__(self, exp: int) -> LaurentPoly:
         return self.value(exp)
+
+    def values(self, lo: int, hi: int) -> Iterator[LaurentPoly]:
+        """Values on the inclusive range [lo, hi], in order, none kept."""
+        seeds = self._seed_values()
+        for exp in range(lo, hi + 1):
+            yield general_term(SKEIN_SPEC, seeds, (exp,))
 
 
 def family_values(
@@ -530,12 +550,10 @@ def family_values(
     """Values of a family on the inclusive exponent range [lo, hi]."""
     if lo > hi:
         raise ValueError("empty exponent range")
-    sweep = FamilySweep(family, memo)
-    return [sweep.value(e) for e in range(lo, hi + 1)]
+    return list(FamilySweep(family, memo).values(lo, hi))
 
 
-@dataclasses.dataclass(frozen=True)
-class GeneratingFunction:
+class GeneratingFunction(NamedTuple):
     """Rational generating function of Jones values over a syllable grid.
 
     For a generator index sequence (i1 .. ik) on a fixed strand count,

@@ -27,8 +27,6 @@ integers that means 1 or -1, for Laurent polynomials unit monomials).
 
 from __future__ import annotations
 
-import dataclasses
-import functools
 import itertools
 from typing import Mapping, Sequence
 
@@ -65,31 +63,38 @@ def _exact_div(num: Ring, den: Ring) -> Ring:
     return q
 
 
-@dataclasses.dataclass(frozen=True)
 class FibSpec:
     """A two-term recurrence given by its distinct characteristic roots.
 
-    beta, gamma and diff are computed once per spec and then kept.
+    beta, gamma and diff are computed once, by the constructor. Instances
+    are immutable and compare and hash by their roots.
     """
 
-    r1: Ring
-    r2: Ring
+    __slots__ = ("r1", "r2", "beta", "gamma", "diff")
 
-    def __post_init__(self) -> None:
-        if self.r1 == self.r2:
+    def __init__(self, r1: Ring, r2: Ring) -> None:
+        if r1 == r2:
             raise ValueError("characteristic roots must be distinct")
+        fields = (r1, r2, r1 + r2, -(r1 * r2), r2 - r1)
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
 
-    @functools.cached_property
-    def beta(self) -> Ring:
-        return self.r1 + self.r2
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
 
-    @functools.cached_property
-    def gamma(self) -> Ring:
-        return -(self.r1 * self.r2)
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
 
-    @functools.cached_property
-    def diff(self) -> Ring:
-        return self.r2 - self.r1
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not FibSpec:
+            return NotImplemented
+        return self.r1 == other.r1 and self.r2 == other.r2
+
+    def __hash__(self) -> int:
+        return hash((self.r1, self.r2))
+
+    def __repr__(self) -> str:
+        return f"FibSpec(r1={self.r1!r}, r2={self.r2!r})"
 
     def step(self, prev: Ring, cur: Ring) -> Ring:
         """One forward step: the entry after (prev, cur)."""

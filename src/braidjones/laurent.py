@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 NEG_INFINITY = -math.inf
 POS_INFINITY = math.inf
@@ -264,6 +266,9 @@ class LaurentPoly:
 
     def evaluate(self, x: int | Fraction) -> Fraction:
         """Exact value at a nonzero rational point."""
+        # loaded here, since nothing else needs fractions (or its decimal)
+        from fractions import Fraction
+
         if x == 0:
             raise ValueError("cannot evaluate at 0: negative exponents")
         x = Fraction(x)

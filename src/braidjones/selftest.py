@@ -8,8 +8,7 @@ as ``braidjones selftest``.
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .analysis import (
     alternating_closed_form,
@@ -26,8 +25,7 @@ from .engine import GeneratingFunction, jones, square_free_value
 from .laurent import LaurentPoly
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

@@ -7,14 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from braidjones import analysis, engine, selftest
 from braidjones.braid import (
     BoundsError,
     BraidWord,
+    ExponentFamily,
     ParseError,
     Syllable,
     parse_braid,
     parse_family,
 )
+from braidjones.fibonacci import FibSpec
+from braidjones.laurent import LaurentPoly
 from .helpers import random_word
 
 
@@ -148,3 +152,73 @@ class TestProperties:
             assert w.strands == 4
             assert 1 <= len(w.syllables) <= 5
             assert all(1 <= s.gen <= 3 and 0 < abs(s.exp) <= 3 for s in w.syllables)
+
+
+# Two separately built equal instances of every value class of the package,
+# and one of its fields.
+VALUE_CLASSES = {
+    "Syllable": (lambda: Syllable(1, 2), "gen"),
+    "BraidWord": (lambda: parse_braid("B3: x1^2 x2^-1"), "strands"),
+    "ExponentFamily": (lambda: parse_family("B3: x1^@ x2"), "slot"),
+    "FibSpec": (lambda: FibSpec(LaurentPoly.monomial(1, -1), LaurentPoly.monomial(3)), "r1"),
+    "ExpansionTerm": (lambda: engine.expand(parse_braid("B2: x1^2"))[0], "weight"),
+    "GeneratingFunction": (lambda: engine.GeneratingFunction.build(2, (1,)), "seeds"),
+    "Classification": (
+        lambda: analysis.classify_pair(LaurentPoly.monomial(1), LaurentPoly.monomial(4)),
+        "kind",
+    ),
+    "Prediction": (lambda: analysis.Prediction(4, -1), "degree"),
+    "RecurrenceReport": (lambda: analysis.alternating_recurrences_check(1), "checked"),
+    "DegreeReport": (lambda: analysis.degree_audit((3, 1, 3, 1)), "bound"),
+    "TableRow": (lambda: analysis.leading_term_table(1)[0], "count"),
+    "ScanReport": (lambda: analysis.leading_term_scan(1, 3), "mismatches"),
+    "UnitWindow": (lambda: analysis.unit_window(parse_family("B2: x1^@")), "lo"),
+    "UnitSearchResult": (lambda: analysis.unit_search(parse_family("B2: x1^@")), "hits"),
+    "CheckResult": (lambda: selftest.CheckResult("name", True, "detail"), "ok"),
+}
+
+
+class TestValueClasses:
+    @pytest.mark.parametrize("name", sorted(VALUE_CLASSES))
+    def test_immutable(self, name):
+        make, field = VALUE_CLASSES[name]
+        value = make()
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+
+    @pytest.mark.parametrize("name", sorted(VALUE_CLASSES))
+    def test_equal_values_hash_equal(self, name):
+        make, _ = VALUE_CLASSES[name]
+        a, b = make(), make()
+        assert a is not b
+        assert a == b and not a != b
+        if name == "GeneratingFunction":
+            return  # its seeds are a dict, so it never hashed
+        assert hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+
+    def test_repr_unchanged(self):
+        assert repr(Syllable(1, 2)) == "Syllable(gen=1, exp=2)"
+        assert repr(parse_braid("B3: x1^2 x2^-1")) == (
+            "BraidWord(strands=3, syllables=(Syllable(gen=1, exp=2), "
+            "Syllable(gen=2, exp=-1)))"
+        )
+        assert repr(BraidWord(2)) == "BraidWord(strands=2, syllables=())"
+
+    def test_validation_kept(self):
+        with pytest.raises(BoundsError):
+            BraidWord(0)
+        with pytest.raises(BoundsError):
+            ExponentFamily(parse_braid("B3: x1 x2"), 2)
+        with pytest.raises(ValueError, match="distinct"):
+            FibSpec(2, 2)
+
+    def test_fib_spec_derived_fields(self):
+        spec = FibSpec(2, -3)
+        assert (spec.beta, spec.gamma, spec.diff) == (-1, 6, -5)
+        assert spec != FibSpec(-3, 2)
+        assert repr(spec) == "FibSpec(r1=2, r2=-3)"
+
+    def test_recurrence_report_truth(self):
+        assert analysis.alternating_recurrences_check(1)
+        assert not analysis.RecurrenceReport(3, ("odd step at 5",))

@@ -1,6 +1,7 @@
 """Command-line surface: output shapes, routes, exit codes."""
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import subprocess
@@ -18,6 +19,21 @@ from braidjones.engine import unlink_value
 from braidjones.laurent import LaurentPoly
 
 from .helpers import DESTABILIZATION_CHAIN, SPLIT_CHAIN, SQUARE_CHAIN
+
+
+def fresh(*args):
+    """Run ``python -c *args`` in a fresh interpreter; its stdout lines."""
+    src = os.path.dirname(os.path.dirname(braidjones.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
 
 
 def run(capsys, *argv):
@@ -90,6 +106,13 @@ class TestJones:
         assert "Traceback" not in err
         assert peak < 1 << 20
 
+    def test_live_bits_cap_exits_one(self, capsys):
+        half = "x1^-10000 x3^10000 x5^-10000 x2^10000 x4^-10000 x6^10000"
+        code, out, err = run(capsys, "jones", f"B7: {half} {half}")
+        assert (code, out) == (1, "")
+        assert err.startswith("braidjones: ") and "live transfer states" in err
+        assert "Traceback" not in err
+
     def test_parse_error_exits_one(self, capsys):
         code, out, err = run(capsys, "jones", "B3: y1")
         assert code == 1
@@ -150,6 +173,37 @@ class TestFamily:
         ]
         assert records[0]["polynomial"] == {"16": "-1", "10": "1", "6": "1"}
         assert records[1]["polynomial"] == {"11": "-1", "7": "-1"}
+
+    WIDE_FAMILY = "B3: x1^2 x2^@ x1^-3 x2"
+
+    def test_range_keeps_one_value_at_a_time(self):
+        # keeping every value took 3.0 MiB over 0..300 (and 34.6 MiB over
+        # 0..1000, which is too slow to trace here)
+        tracemalloc.start()
+        try:
+            with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+                code = main(["family", self.WIDE_FAMILY, "--range", "0..300"])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1 << 20
+
+    def test_wide_range_memory(self):
+        # peak RSS of a fresh process over 0..1000, above its RSS after the
+        # import; keeping every value added about 34 MiB
+        script = (
+            "import contextlib, os, resource\n"
+            "from braidjones.cli import main\n"
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+            f"    code = main(['family', {self.WIDE_FAMILY!r}, '--range', '0..1000'])\n"
+            "after = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "print(code, after - before)\n"
+        )
+        code, growth_kib = map(int, fresh(script)[-1].split())
+        assert code == 0
+        assert growth_kib < 8 << 10
 
     def test_bad_range_exits_one(self, capsys):
         assert run(capsys, "family", "B2: x1^@", "--range", "5..1")[0] == 1
@@ -428,19 +482,6 @@ class TestImportBoundary:
         "print(json.dumps({'code': code, 'loaded': loaded}))\n"
     )
 
-    def fresh(self, *args):
-        src = os.path.dirname(os.path.dirname(braidjones.__file__))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-c", *args],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert proc.returncode == 0, proc.stderr
-        return proc.stdout.splitlines()
-
     @pytest.mark.parametrize(
         "argv",
         [
@@ -450,10 +491,52 @@ class TestImportBoundary:
         ],
     )
     def test_commands_skip_analysis_and_selftest(self, argv):
-        report = json.loads(self.fresh(self.SCRIPT, *argv)[-1])
+        report = json.loads(fresh(self.SCRIPT, *argv)[-1])
         assert report["code"] == 0
         assert "braidjones.analysis" not in report["loaded"]
         assert "braidjones.selftest" not in report["loaded"]
+
+    # dataclasses brings inspect, dis and tokenize, fractions brings decimal;
+    # a module the interpreter loaded before the package does not count
+    HEAVY_SCRIPT = (
+        "import contextlib, json, os, sys\n"
+        "heavy = ('dataclasses', 'fractions')\n"
+        "before = set(sys.modules)\n"
+        "def new():\n"
+        "    return [m for m in heavy if m in sys.modules and m not in before]\n"
+        "import braidjones\n"
+        "report = [['import braidjones', 0, new()]]\n"
+        "import braidjones.cli\n"
+        "report.append(['import braidjones.cli', 0, new()])\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with open(os.devnull, 'w') as sink, contextlib.redirect_stdout(sink):\n"
+        "        code = braidjones.cli.main(argv)\n"
+        "    report.append([argv[0], code, new()])\n"
+        "print(json.dumps(report))\n"
+    )
+    # one command of each kind in the benchmark's shell mix
+    SHELL_MIX = [
+        ["jones", "--json", "B3: x1 x2^-1 x1"],
+        ["family", "--json", "B3: x1^@ x2 x1^3 x2", "--range", "-2..3"],
+        ["genfun", "--json", "--strands", "3", "--indices", "1,2,1,2", "--upto", "1"],
+        ["tables", "--json", "--pairs", "2"],
+        ["audit", "--json", "--pairs", "1", "--samples", "5"],
+        ["units", "--json", "B2: x1^@"],
+        ["classify", "--json", "B3: x1^@ x2 x1^3 x2", "--at", "1", "--predict", "3"],
+        ["bench", "--json", "--braid", "B3: x1^3 x2^-2", "--compare", "naive"],
+        ["selftest", "--json"],
+    ]
+
+    def test_no_dataclasses_or_fractions(self):
+        report = json.loads(fresh(self.HEAVY_SCRIPT, json.dumps(self.SHELL_MIX))[-1])
+        assert [step for step, _, _ in report] == [
+            "import braidjones",
+            "import braidjones.cli",
+            *(argv[0] for argv in self.SHELL_MIX),
+        ]
+        assert [(step, code, loaded) for step, code, loaded in report] == [
+            (step, 0, []) for step, _, _ in report
+        ]
 
     def test_every_public_name_resolves(self):
         script = (
@@ -462,4 +545,4 @@ class TestImportBoundary:
             "if getattr(braidjones, n, None) is None]\n"
             "print(missing)\n"
         )
-        assert self.fresh(script) == ["[]"]
+        assert fresh(script) == ["[]"]

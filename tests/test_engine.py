@@ -211,6 +211,23 @@ class TestEngine:
             tracemalloc.stop()
         assert peak < 1 << 16
 
+    def test_live_bits_cap(self):
+        # each state is under the one-state cap, but 429 matchings of them
+        # on 7 strands would need about 1 GB
+        half = "x1^-10000 x3^10000 x5^-10000 x2^10000 x4^-10000 x6^10000"
+        word = parse_braid(f"B7: {half} {half}")
+        cap = f"cap of {engine.LIVE_BITS_CAP} bits"
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match=cap):
+                jones(word)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < engine.LIVE_BITS_CAP // 8  # bytes
+
     def test_wide_words_agree_with_oracle(self):
         # every generator twice, so the transfer runs on all 6-9 strands and
         # meets states of both parities; two syllables have |a| of 20-40
@@ -368,6 +385,13 @@ class TestFamilySweep:
         assert values == [jones(fam.instantiate(e)) for e in range(-2, 4)]
         with pytest.raises(ValueError):
             family_values(fam, 2, 1)
+
+    def test_values_streams_without_keeping(self):
+        fam = parse_family("B3: x1^@ x2 x1^3 x2")
+        sweep = FamilySweep(fam)
+        values = list(sweep.values(-3, 4))
+        assert values == [jones(fam.instantiate(e)) for e in range(-3, 5)]
+        assert sorted(sweep._values) == [0, 1]  # only the two seeds are kept
 
     def test_two_sided_consistency(self):
         fam = parse_family("B3: x2^@ x1^2 x2 x1")

@@ -92,6 +92,7 @@ class TestArithmetic:
         p = LaurentPoly({2: 1, 0: -1, -1: 2})
         assert p.evaluate(2) == Fraction(4) - 1 + 1
         assert p.evaluate(Fraction(1, 2)) == Fraction(1, 4) - 1 + 4
+        assert type(p.evaluate(2)) is Fraction
         with pytest.raises(ValueError):
             p.evaluate(0)
 

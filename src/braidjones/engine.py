@@ -26,17 +26,18 @@ relation a whole syllable acts on planar matchings as
 
     x_i^a = A^-a + beta_a e_i,   (1 + A^4) beta_a = A^(2-a) (1 - (-A^4)^a),
 
-so after scaling every state by (1 + A^4) each syllable applies binomial
-shifts only, and one exact division at the end removes (1 + A^4)^k. An e_i
-move that opens no loop is a saddle on the closure and changes its loop
+so a syllable with few terms in beta_a applies it as one product, while a
+longer one scales every state by (1 + A^4) to apply binomial shifts only,
+and one exact division at the end removes (1 + A^4) per long syllable. An
+e_i move that opens no loop is a saddle on the closure and changes its loop
 count by one, so a matching's polynomial is s^p C(s^2) with p fixed by the
 parity of its loop count (the parity behind Kauffman's state sum). Each C
 is packed into one integer as its value at s^2 = 2^width (Kronecker
-substitution), so each shift and sum is one integer operation. The width
-is chosen once per word, from a proved bound on the coefficients of its
-value (:func:`_coefficient_bound`); every part and twist is packed at that
-width, their quotients are multiplied as integers, and the digits of the
-product are read back once, in C, through a memoryview.
+substitution), so each shift, sum and product is one integer operation. The
+width is chosen once per word, from a proved bound on the coefficients of
+its value (:func:`_coefficient_bound`); every part and twist is packed at
+that width, their quotients are multiplied as integers, and the digits of
+the product are read back once, in C, through a memoryview.
 """
 
 from __future__ import annotations
@@ -64,6 +65,11 @@ PACKED_BITS_CAP = 1 << 25
 # Bits the live states of a transfer may reach together, counting each at
 # the packed bound of one state: 32 MiB
 LIVE_BITS_CAP = 1 << 28
+# Bits of packed G_a, (|a| - 1) * width, up to which a syllable divides out
+# u + 1 where it stands. Timed on 4-6 strands, 7-14 syllables of one |a|, the
+# product with G_a beats carrying u + 1 up to about 256 bits at widths 64-256
+# (|a| = 5, 3, 2) and 350 at width 32
+SHORT_BITS = 256
 
 MemoTable = dict[tuple[int, tuple[Syllable, ...]], LaurentPoly]
 Syllables = list[tuple[int, int]]  # (generator, exponent) pairs
@@ -257,7 +263,7 @@ class _Matchings:
         self.strands = strands
         self.identity = (1 << strands) - 1  # strand t's top paired to its bottom
         self.act: list[dict[int, int]] = [{} for _ in range(strands)]
-        self._loops: dict[int, int] = {}
+        self.loop_count: dict[int, int] = {}
         self.odd: dict[int, int] = {}
         self.size = strands  # entries held, counting each empty act table as one
         self.loops(self.identity)
@@ -295,7 +301,7 @@ class _Matchings:
 
     def loops(self, m: int) -> int:
         """Loop count of the closure of m, which joins point p to 2n-1-p."""
-        count = self._loops.get(m)
+        count = self.loop_count.get(m)
         if count is None:
             size = 2 * self.strands
             partner = [0] * size
@@ -317,7 +323,7 @@ class _Matchings:
                     q = partner[p]
                     seen[p] = seen[q] = True
                     p = size - 1 - q
-            self._loops[m] = count
+            self.loop_count[m] = count
             self.odd[m] = (count + self.strands) & 1
             self.size += 2
         return count
@@ -338,13 +344,16 @@ def _matchings(strands: int) -> _Matchings:
 
 
 def _width(strands: int, exps: Iterable[int]) -> int:
-    """Digit width of a packed value, a power of two from 8 up.
+    """Digit width of a packed value: 8, 16, 32, 64 or a multiple of 64.
 
-    The smallest whose signed digits exceed :func:`_coefficient_bound` of a
-    closure on ``strands`` strands with syllable exponents ``exps``.
+    The smallest such width whose signed digits exceed
+    :func:`_coefficient_bound` of a closure on ``strands`` strands with
+    syllable exponents ``exps``; these are the widths :func:`_unpack` reads.
     """
     bits = _coefficient_bound(strands, exps).bit_length() + 1
-    return max(8, 1 << (bits - 1).bit_length())  # a power of two, for _unpack
+    if bits > 64:
+        return -(-bits // 64) * 64
+    return max(8, 1 << (bits - 1).bit_length())
 
 
 def _coefficient_bound(strands: int, exps: Iterable[int]) -> int:
@@ -384,25 +393,28 @@ def _transfer(strands: int, syls: Syllables, width: int) -> tuple[int, int, int]
     closure's loop count by exactly one; the state of matching m is
     therefore s^odd(m) C(u) in u = s^2, with odd(m) = (loops(m) + n) mod 2,
     and C is packed into one int as its value at u = 2^width. Every state
-    carries the factor (u + 1)^j after j syllables and the common power
-    s^shift, so that syllable x_g^a only shifts and adds:
+    carries the common power s^shift and the factor (u + 1)^j after j long
+    syllables, so that syllable x_g^a acts by
 
-        identity:           u + 1
-        e_g:                s (1 - (-1)^a u^a)
-        e_g closing a loop: (-1)^a u^a (u + 1)
+                            short           long
+        identity:           1               u + 1
+        e_g:                s G_a           s (1 - (-1)^a u^a)
+        e_g closing a loop: (-1)^a u^a      (-1)^a u^a (u + 1)
 
     all times u^-h, h = min(0, a), which keeps the exponents nonnegative.
-    The factor s of an e_g move goes into odd(to) from an even state and
-    becomes one more factor u from an odd one. These are the bracket's
-    weights in s = A^2 once A^-a is taken out of each syllable; with the
-    writhe normalization (-A)^(3w) the A^-w taken out becomes (-1)^w s^w.
-    The closure weighs each matching by delta^(loops - 1) with
-    delta = -s - s^-1, and one exact division removes (u + 1)^k. Raises
-    CapExceeded, before any packing, when one packed state could exceed
-    ``PACKED_BITS_CAP`` bits, and after a syllable when its live states at
-    that bound could exceed ``LIVE_BITS_CAP`` bits together.
+    Here G_a = (1 - (-u)^a) / (1 + u) has |a| terms, and a syllable is
+    short when packed G_a spans at most ``SHORT_BITS`` bits. The factor s of
+    an e_g move goes into odd(to) from an even state and becomes one more
+    factor u from an odd one. These are the bracket's weights in s = A^2
+    once A^-a is taken out of each syllable; with the writhe normalization
+    (-A)^(3w) the A^-w taken out becomes (-1)^w s^w. The closure weighs
+    each matching by delta^(loops - 1) with delta = -s - s^-1, and one
+    exact division removes (u + 1)^kept, kept the number of long
+    syllables. Raises CapExceeded, before any packing, when one packed
+    state could exceed ``PACKED_BITS_CAP`` bits, and after a syllable when
+    its live states at that bound could exceed ``LIVE_BITS_CAP`` bits
+    together.
     """
-    k = len(syls)
     # a syllable raises a state's degree in u by at most |a| + 1, the closure
     # by at most n
     span = width * (strands + sum(abs(a) + 1 for _, a in syls))
@@ -414,32 +426,50 @@ def _transfer(strands: int, syls: Syllables, width: int) -> tuple[int, int, int]
     table = _matchings(strands)
     odd = table.odd
     states = {table.identity: 1}
-    shift = 0
+    step = (1 << width) + 1  # u + 1
+    shift = kept = 0
     for gen, a in syls:
         h = a if a < 0 else 0
         shift += 2 * h
         id0 = -h * width
-        id1 = id0 + width
-        e0 = (id0, id1)  # the e_g shift out of an even state, an odd state
-        e1 = a * width  # the further shift of its second term
-        loop0 = id0 + e1
-        loop1 = loop0 + width
+        e1 = a * width  # the shift of (-1)^a u^a
+        loop = id0 + e1
         even = a % 2 == 0
         act = table.act[gen]
         nxt: dict[int, int] = {}
         get = nxt.get
-        for m, c in states.items():
-            to = act.get(m)
-            if to is None:
-                to = table.apply(gen, m)
-            if to == m:
-                v = (c << loop0) + (c << loop1)
-                nxt[m] = get(m, 0) + (v if even else -v)
-            else:
-                nxt[m] = get(m, 0) + (c << id0) + (c << id1)
-                x = e0[odd[m]]
-                v = c << (x + e1)
-                nxt[to] = get(to, 0) + (c << x) + (-v if even else v)
+        # e_g's targets all close a loop, so where e_g closes none on m,
+        # nothing but m writes nxt[m]
+        if (abs(a) - 1) * width <= SHORT_BITS:
+            g = ((1 << id0) - ((1 << loop) if even else -(1 << loop))) // step
+            opens = (g, g << width)  # s G_a out of an even state, an odd state
+            for m, c in states.items():
+                to = act.get(m)
+                if to is None:
+                    to = table.apply(gen, m)
+                if to == m:
+                    v = c << loop
+                    nxt[m] = get(m, 0) + (v if even else -v)
+                else:
+                    nxt[m] = c << id0
+                    nxt[to] = get(to, 0) + c * opens[odd[m]]
+        else:
+            kept += 1
+            id1 = id0 + width
+            e0 = (id0, id1)  # the e_g shift out of an even state, an odd state
+            loop1 = loop + width
+            for m, c in states.items():
+                to = act.get(m)
+                if to is None:
+                    to = table.apply(gen, m)
+                if to == m:
+                    v = (c << loop) + (c << loop1)
+                    nxt[m] = get(m, 0) + (v if even else -v)
+                else:
+                    nxt[m] = (c << id0) + (c << id1)
+                    x = e0[odd[m]]
+                    v = c << (x + e1)
+                    nxt[to] = get(to, 0) + (c << x) + (-v if even else v)
         if len(nxt) > TRANSFER_CAP:
             raise CapExceeded(
                 f"{len(nxt)} transfer states on {strands} strands exceed "
@@ -451,10 +481,10 @@ def _transfer(strands: int, syls: Syllables, width: int) -> tuple[int, int, int]
                 f"exceed the cap of {LIVE_BITS_CAP} bits"
             )
         states = nxt
-    step = (1 << width) + 1  # u + 1
     by_loops: dict[int, int] = {}
+    loop_count = table.loop_count  # filled for every matching a transfer meets
     for m, c in states.items():
-        loops = table.loops(m)
+        loops = loop_count[m]
         by_loops[loops] = by_loops.get(loops, 0) + c
     total = 0
     for loops, c in by_loops.items():
@@ -463,9 +493,9 @@ def _transfer(strands: int, syls: Syllables, width: int) -> tuple[int, int, int]
         up = (strands - loops + ((strands + loops) & 1)) // 2
         v = (c << up * width) * step ** (loops - 1)
         total += v if loops % 2 else -v
-    quot, rem = divmod(total, step**k)
+    quot, rem = divmod(total, step**kept)
     if rem:
-        raise NotDivisible(f"transfer total is not divisible by (s^2+1)^{k}")
+        raise NotDivisible(f"transfer total is not divisible by (s^2+1)^{kept}")
     writhe = sum(a for _, a in syls)
     return quot, shift - (strands - 1) + writhe, -1 if writhe % 2 else 1
 

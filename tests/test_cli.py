@@ -471,6 +471,14 @@ class TestUsage:
             main(["frobnicate"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("command", ["jones", "bench"])
+    def test_naive_cap_help_states_its_cost(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "default 24: 2^24 states, about 40 s" in help_text
+
 
 class TestImportBoundary:
     # each command runs in a fresh interpreter, so what it imports is seen

@@ -63,6 +63,18 @@ def wide_words(draw):
     return BraidWord(strands, tuple(Syllable(g, e) for g, e in syls))
 
 
+@st.composite
+def mixed_words(draw):
+    # short and long syllables of both signs; widths from 8 to 64
+    strands = draw(st.integers(2, 7))
+    magnitude = st.one_of(st.integers(1, 5), st.integers(6, 300))
+    syllable = st.tuples(st.integers(1, strands - 1), magnitude, st.booleans())
+    syls = draw(st.lists(syllable, min_size=3, max_size=6))
+    return BraidWord(
+        strands, tuple(Syllable(g, -m if neg else m) for g, m, neg in syls)
+    )
+
+
 class TestSteps:
     def test_two_strand_seed_values(self):
         fam = parse_family("B2: x1^@")
@@ -146,6 +158,17 @@ class TestExpansion:
         word = parse_braid("B3: x1^1003 x2^-998 x1^1001 x2^995")
         assert expansion_value(word, {}) == jones(word, {})
 
+    # a syllable is short up to |a| = 9 at width 32 and up to 5 at width 64;
+    # the examples hold syllables at that limit, one below and one above it
+    @settings(max_examples=60, deadline=None)
+    @given(mixed_words())
+    @example(parse_braid("B4: x1^9 x2^-12 x3^12 x1^-10 x2^8 x3^-12"))
+    @example(parse_braid("B5: x1^9 x2^-12 x3^12 x4^-10 x1^-8 x2^12 x3^-12 x4^-9"))
+    @example(parse_braid("B5: x1^5 x2^-100 x3^100 x4^-6 x1^-4 x2^100 x3^-100 x4^5"))
+    @example(parse_braid("B5: x1^-5 x2^300 x3^-300 x4^6 x1^4 x2^-300 x3^300 x4^-5"))
+    def test_expansion_equals_engine_short_and_long(self, word):
+        assert expansion_value(word, {}) == jones(word), word.text()
+
     def test_expansion_equals_engine_wide_digits(self):
         # coefficients near 1.6e11, packed with large mixed-sign shifts
         word = parse_braid(
@@ -183,6 +206,7 @@ class TestEngine:
         assert jones(parse_braid(SPLIT_CHAIN), {}) == unlink_value(600)
 
     def test_long_square_chain(self):
+        assert engine._width(600, [2] * 599) == 1600
         hopf = V("-s^5 - s")
         assert jones(parse_braid(SQUARE_CHAIN), {}) == hopf**599
 
@@ -300,7 +324,7 @@ class TestEngine:
 
 
 class TestUnpack:
-    @pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 192])
+    @pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 192, 320, 1600])
     def test_round_trip(self, width):
         top = (1 << width - 1) - 1
         rng = random.Random(width)

@@ -84,10 +84,16 @@ def bracket_naive(word: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) -
     wire; the pass-through smoothing changes nothing. Once the last letter
     on a strand position is smoothed, the wire there is final, so the
     closure joins it to the top of that position at that depth rather than
-    at every state below it. Each of the ``2^c`` states is then a leaf
-    whose class count is its loop count. The walk keeps its own stack
-    rather than recursing, so the crossing cap is the only limit on its
-    depth. It shares no code with ``bracket_tl`` or the evaluator.
+    at every state below it. The walk stops one letter early: the last
+    letter is the last on both of its positions and every other position is
+    closed, so its incoming wires x, y and its positions' tops ri, rj end two
+    arcs, paired (x, ri)(y, rj) or (x, y)(ri, rj), never crosswise (the
+    diagram is planar). The smoothing that closes each arc on itself keeps
+    the class count and the other joins the two arcs into one loop, so of
+    the ``2^c`` states, the pass-through leaves have ``loops - (x != ri)``
+    loops and the cap-cup leaves ``loops - (x == ri)``. The walk keeps its
+    own stack rather than recursing, so the crossing cap is the only limit
+    on its depth. It shares no code with ``bracket_tl`` or the evaluator.
 
     Exponential in the crossing count; guarded by ``max_crossings``.
     """
@@ -98,13 +104,22 @@ def bracket_naive(word: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) -
             f"{c} crossings exceed the naive cap of {max_crossings} (2^{c} states)"
         )
     n = word.strands
-    # closes[d]: the positions whose last letter is letter d
-    last: dict[int, int] = {}
+    if not c:
+        return _delta_power(n - 1)
+    last: dict[int, int] = {}  # position -> its last letter
     for d, (gen, _) in enumerate(letters):
         last[gen - 1] = last[gen] = d
-    closes: list[list[int]] = [[] for _ in range(c)]
-    for p, d in last.items():
-        closes[d].append(p)
+    # tally[(A-exponent + c) * stride + loops]; a leaf has under n + c loops
+    stride = n + c
+    tally = [0] * ((2 * c + 1) * stride)
+    # per depth: the left position, the tally step of the cap-cup weight
+    # A^direction (pass-through is A^-direction), the positions it closes
+    plan = [
+        (gen - 1, direction * stride, tuple(p for p in (gen - 1, gen) if last[p] == d))
+        for d, (gen, direction) in enumerate(letters)
+    ]
+    top = c - 1
+    li, ls, _ = plan[top]
     # wires 0..n-1 leave the top of the braid; wire n+d is the cup of letter d
     parent = list(range(n + c))
     size = [1] * (n + c)
@@ -112,27 +127,30 @@ def bracket_naive(word: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) -
     log: list[int] = []  # the root each join attached, oldest first
     # per depth: the next choice (0 pass, 1 cap, 2 done), the log length
     # before its joins and the two wires a cap replaced
-    step = [0] * (c + 1)
+    step = [0] * c
     mark = [0] * c
     replaced = [(0, 0)] * c
-    tally: dict[tuple[int, int], int] = {}
     loops = n  # classes of the wires opened so far
-    a_exp = 0
+    a = c * stride  # the tally row of the A-exponent so far
     d = 0
     while d >= 0:
-        if d == c:
-            key = (a_exp, loops)
-            tally[key] = tally.get(key, 0) + 1
+        if d == top:
+            x = current[li]
+            while parent[x] != x:
+                x = parent[x]
+            r = li
+            while parent[r] != r:
+                r = parent[r]
+            tally[a - ls + loops - (x != r)] += 1
+            tally[a + ls + loops - (x == r)] += 1
             d -= 1
             continue
-        gen, direction = letters[d]
-        i = gen - 1
+        i, s, closed = plan[d]
         choice = step[d]
         step[d] = choice + 1
         if choice == 0:
             mark[d] = len(log)
-            a_exp -= direction
-            pairs = []
+            a -= s
         else:
             # undo the joins of the previous choice at this depth
             while len(log) > mark[d]:
@@ -142,20 +160,28 @@ def bracket_naive(word: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) -
                 parent[y] = y
                 loops += 1
             if choice == 2:
-                a_exp -= direction
+                a -= s
                 current[i], current[i + 1] = replaced[d]
                 loops -= 1
                 d -= 1
                 continue
-            a_exp += 2 * direction
+            a += 2 * s
             x, y = replaced[d] = current[i], current[i + 1]
             current[i] = current[i + 1] = n + d
             loops += 1
-            pairs = [(x, y)]
-        for p in closes[d]:
-            if current[p] != p:
-                pairs.append((current[p], p))
-        for x, y in pairs:
+            while parent[x] != x:
+                x = parent[x]
+            while parent[y] != y:
+                y = parent[y]
+            if x != y:
+                if size[x] < size[y]:
+                    x, y = y, x
+                parent[y] = x
+                size[x] += size[y]
+                log.append(y)
+                loops -= 1
+        for y in closed:
+            x = current[y]
             while parent[x] != x:
                 x = parent[x]
             while parent[y] != y:
@@ -170,8 +196,10 @@ def bracket_naive(word: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) -
         d += 1
         step[d] = 0
     result = LaurentPoly()
-    for (a_exp, loops), count in tally.items():
-        result = result + LaurentPoly.monomial(a_exp, count) * _delta_power(loops - 1)
+    for key, count in enumerate(tally):
+        if count:
+            row, loops = divmod(key, stride)
+            result = result + LaurentPoly.monomial(row - c, count) * _delta_power(loops - 1)
     return result
 
 

@@ -390,8 +390,8 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 # -- parser --------------------------------------------------------------
 
-# the naive oracle sums 2^c states, about 2.5 us each on a 2-vCPU host
-_NAIVE_CAP = "crossing cap of the naive state sum (default 24: 2^24 states, about 40 s)"
+# the naive oracle sums 2^c states, about 0.9 us each on a 2-vCPU host
+_NAIVE_CAP = "crossing cap of the naive state sum (default 24: 2^24 states, about 15 s)"
 
 
 def _build_parser() -> _Parser:

@@ -179,16 +179,7 @@ def jones(word: BraidWord, memo: MemoTable | None = None) -> LaurentPoly:
         cached = memo.get(key)
         if cached is not None:
             return cached
-    # one digit width for every part and twist: only the product is read
-    # back, and its digits are the coefficients of this word's value
-    syls = reduce_cyclic((s.gen, s.exp) for s in word.syllables)
-    width = _width(word.strands, [a for _, a in syls])
-    twists: dict[int, int] = {}  # exponent of a lone generator -> count
-    factors = [(n, part, 1) for n, part in _split_lone(word.strands, syls, twists)]
-    # the torus links T(2, exp); the unknot's value is 1
-    for exp, count in twists.items():
-        if exp not in (1, -1):
-            factors.append((2, [(1, exp)], count))
+    width, factors = _factors(word)
     packed, low, sign = 1, 0, 1
     for strands, part, count in factors:
         quot, part_low, part_sign = _transfer(strands, part, width)
@@ -199,6 +190,40 @@ def jones(word: BraidWord, memo: MemoTable | None = None) -> LaurentPoly:
     if key is not None:
         memo[key] = value
     return value
+
+
+def _factors(word: BraidWord) -> tuple[int, list[tuple[int, Syllables, int]]]:
+    """Digit width and (strands, part, count) factors of ``word``'s value.
+
+    Raises CapExceeded where a part's transfer would exceed ``PACKED_BITS_CAP``.
+    The closed forms call it first, so they admit what :func:`jones` admits.
+    """
+    # one digit width for every part and twist: only the product is read
+    # back, and its digits are the coefficients of this word's value
+    syls = reduce_cyclic((s.gen, s.exp) for s in word.syllables)
+    width = _width(word.strands, [a for _, a in syls])
+    twists: dict[int, int] = {}  # exponent of a lone generator -> count
+    factors = [(n, part, 1) for n, part in _split_lone(word.strands, syls, twists)]
+    # the torus links T(2, exp); the unknot's value is 1
+    for exp, count in twists.items():
+        if exp not in (1, -1):
+            factors.append((2, [(1, exp)], count))
+    for strands, part, _ in factors:
+        _packed_span(strands, part, width)
+    return width, factors
+
+
+def _packed_span(strands: int, syls: Syllables, width: int) -> int:
+    """Bits one packed transfer state may reach; CapExceeded above ``PACKED_BITS_CAP``."""
+    # a syllable raises a state's degree in u by at most |a| + 1, the closure
+    # by at most n
+    span = width * (strands + sum(abs(a) + 1 for _, a in syls))
+    if span > PACKED_BITS_CAP:
+        raise CapExceeded(
+            f"a packed transfer state of up to {span} bits exceeds "
+            f"the cap of {PACKED_BITS_CAP} bits"
+        )
+    return span
 
 
 def _split_lone(
@@ -415,14 +440,7 @@ def _transfer(strands: int, syls: Syllables, width: int) -> tuple[int, int, int]
     its live states at that bound could exceed ``LIVE_BITS_CAP`` bits
     together.
     """
-    # a syllable raises a state's degree in u by at most |a| + 1, the closure
-    # by at most n
-    span = width * (strands + sum(abs(a) + 1 for _, a in syls))
-    if span > PACKED_BITS_CAP:
-        raise CapExceeded(
-            f"a packed transfer state of up to {span} bits exceeds "
-            f"the cap of {PACKED_BITS_CAP} bits"
-        )
+    span = _packed_span(strands, syls, width)
     table = _matchings(strands)
     odd = table.odd
     states = {table.identity: 1}
@@ -558,6 +576,7 @@ class FamilySweep:
         seeds = self._seed_values()
         v = self._values.get(exp)
         if v is None:
+            _factors(self.family.instantiate(exp))
             v = self._values[exp] = general_term(SKEIN_SPEC, seeds, (exp,))
         return v
 
@@ -568,6 +587,7 @@ class FamilySweep:
         """Values on the inclusive range [lo, hi], in order, none kept."""
         seeds = self._seed_values()
         for exp in range(lo, hi + 1):
+            _factors(self.family.instantiate(exp))
             yield general_term(SKEIN_SPEC, seeds, (exp,))
 
 
@@ -634,4 +654,5 @@ class GeneratingFunction(NamedTuple):
             raise ValueError("exponent count does not match the index sequence")
         if any(a < 0 for a in exps):
             raise ValueError("series coefficients need nonnegative exponents")
+        _factors(BraidWord(self.strands, tuple(map(Syllable, self.indices, exps))))
         return general_term(SKEIN_SPEC, self.seeds, exps)

@@ -25,9 +25,9 @@ V = LaurentPoly.parse
 
 
 @st.composite
-def oracle_words(draw, max_crossings: int = 14):
-    """Words on 1-6 strands with at most ``max_crossings`` crossings."""
-    strands = draw(st.integers(min_value=1, max_value=6))
+def oracle_words(draw, max_crossings: int = 14, max_strands: int = 6):
+    """Words on 1 to ``max_strands`` strands with at most ``max_crossings`` crossings."""
+    strands = draw(st.integers(min_value=1, max_value=max_strands))
     syllables: list[Syllable] = []
     left = draw(st.integers(min_value=0, max_value=max_crossings))
     while strands > 1 and left:
@@ -87,6 +87,20 @@ class TestRoutesAgree:
     @example(parse_braid("B4: x1^3 x2^-2 x1 x2^4"))  # strand 4 untouched
     @example(parse_braid("B6: x5^-4 x4^3 x5^-4 x4^3"))  # 14 crossings
     def test_state_sum_equals_transfer(self, word):
+        assert bracket_naive(word) == bracket_tl(word), word.text()
+
+    # the walk tallies both smoothings of the last letter from whether its
+    # incoming wire x at the left position is joined to that position's top
+    @settings(max_examples=100, deadline=None)
+    @given(oracle_words(max_crossings=12, max_strands=7))
+    @example(parse_braid("B1:"))
+    @example(parse_braid("B3:"))
+    @example(parse_braid("B2: x1"))  # x is a top itself
+    @example(parse_braid("B2: x1^-1"))
+    @example(parse_braid("B4: x1^2 x3"))  # the last letter alone on its positions
+    @example(parse_braid("B2: x1^3"))  # incoming wires already joined
+    @example(parse_braid("B3: x1 x2 x1"))  # tops already joined
+    def test_last_letter_leaves(self, word):
         assert bracket_naive(word) == bracket_tl(word), word.text()
 
     def test_untouched_strand_is_one_more_loop(self):

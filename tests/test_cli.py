@@ -477,7 +477,33 @@ class TestUsage:
             main([command, "--help"])
         assert exc.value.code == 0
         help_text = " ".join(capsys.readouterr().out.split())
-        assert "default 24: 2^24 states, about 40 s" in help_text
+        assert "default 24: 2^24 states, about 15 s" in help_text
+
+
+class TestClosedFormCaps:
+    E = 10**12
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["family", "B3: x1^2 x2^@ x1^-3 x2", "--range", f"{E}..{E}"],
+            ["genfun", "--strands", "3", "--indices", "1,2", "--coeff", f"{E},3"],
+            ["classify", "B3: x1^2 x2^@ x1^-3 x2", "--at", str(E)],
+        ],
+    )
+    def test_huge_exponent_exits_one(self, capsys, monkeypatch, argv):
+        # V(e) has about e terms: these ran until killed before the closed
+        # forms checked the packed span of the word they stand for, so a
+        # closed form reached here fails the test rather than hanging it
+        def unreachable(*args):
+            raise AssertionError("the closed form ran on an oversized word")
+
+        monkeypatch.setattr(engine, "general_term", unreachable)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("braidjones: ") and f"cap of {engine.PACKED_BITS_CAP} bits" in err
 
 
 class TestImportBoundary:

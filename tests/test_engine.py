@@ -442,6 +442,33 @@ class TestFamilySweep:
         assert value == jones(fam.instantiate(exp))
 
 
+    def test_span_cap_admits_what_jones_admits(self, monkeypatch):
+        # x1^@ x2^5 cuts into two twists, so a span summed over the whole
+        # word would refuse values that jones evaluates
+        monkeypatch.setattr(engine, "PACKED_BITS_CAP", 160)
+
+        def admits(route, *args):
+            try:
+                route(*args)
+            except CapExceeded:
+                return False
+            return True
+
+        gf = GeneratingFunction.build(3, (1, 2))
+        seen = set()
+        for text in ("B3: x1^@ x2 x1^3 x2", "B3: x1^@ x2^5"):
+            fam = parse_family(text)
+            sweep = FamilySweep(fam)
+            for e in range(-25, 26):
+                admitted = admits(jones, fam.instantiate(e))
+                assert admits(sweep.value, e) == admitted, (text, e)
+                assert admits(list, sweep.values(e, e)) == admitted, (text, e)
+                if text.endswith("x2^5") and e >= 0:
+                    assert admits(gf.coefficient, (e, 5)) == admitted, e
+                seen.add(admitted)
+        assert seen == {True, False}
+
+
 class TestGeneratingFunction:
     def test_single_variable_coefficients(self):
         gf = GeneratingFunction.build(2, (1,), memo={})

@@ -193,11 +193,7 @@ def jones(word: BraidWord, memo: MemoTable | None = None) -> LaurentPoly:
 
 
 def _factors(word: BraidWord) -> tuple[int, list[tuple[int, Syllables, int]]]:
-    """Digit width and (strands, part, count) factors of ``word``'s value.
-
-    Raises CapExceeded where a part's transfer would exceed ``PACKED_BITS_CAP``.
-    The closed forms call it first, so they admit what :func:`jones` admits.
-    """
+    """Digit width and (strands, part, count) factors of ``word``'s value."""
     # one digit width for every part and twist: only the product is read
     # back, and its digits are the coefficients of this word's value
     syls = reduce_cyclic((s.gen, s.exp) for s in word.syllables)
@@ -208,9 +204,19 @@ def _factors(word: BraidWord) -> tuple[int, list[tuple[int, Syllables, int]]]:
     for exp, count in twists.items():
         if exp not in (1, -1):
             factors.append((2, [(1, exp)], count))
+    return width, factors
+
+
+def _admit(word: BraidWord) -> None:
+    """Raise CapExceeded where :func:`jones` would, at a part's packed span.
+
+    The closed forms call it before any arithmetic, so they admit what
+    :func:`jones` admits; :func:`jones` itself checks each part in
+    :func:`_transfer`.
+    """
+    width, factors = _factors(word)
     for strands, part, _ in factors:
         _packed_span(strands, part, width)
-    return width, factors
 
 
 def _packed_span(strands: int, syls: Syllables, width: int) -> int:
@@ -576,7 +582,7 @@ class FamilySweep:
         seeds = self._seed_values()
         v = self._values.get(exp)
         if v is None:
-            _factors(self.family.instantiate(exp))
+            _admit(self.family.instantiate(exp))
             v = self._values[exp] = general_term(SKEIN_SPEC, seeds, (exp,))
         return v
 
@@ -587,7 +593,7 @@ class FamilySweep:
         """Values on the inclusive range [lo, hi], in order, none kept."""
         seeds = self._seed_values()
         for exp in range(lo, hi + 1):
-            _factors(self.family.instantiate(exp))
+            _admit(self.family.instantiate(exp))
             yield general_term(SKEIN_SPEC, seeds, (exp,))
 
 
@@ -654,5 +660,5 @@ class GeneratingFunction(NamedTuple):
             raise ValueError("exponent count does not match the index sequence")
         if any(a < 0 for a in exps):
             raise ValueError("series coefficients need nonnegative exponents")
-        _factors(BraidWord(self.strands, tuple(map(Syllable, self.indices, exps))))
+        _admit(BraidWord(self.strands, tuple(map(Syllable, self.indices, exps))))
         return general_term(SKEIN_SPEC, self.seeds, exps)

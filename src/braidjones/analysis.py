@@ -7,7 +7,9 @@ the closed forms cover the two-strand torus family and the alternating
 3-braid word x1 x2 x1 x2 ...; the table builder regenerates the
 leading-term census of alternating-syllable 3-braids; the unit scan finds
 every exponent at which a family value can equal 1, with certificates
-that the window searched is exhaustive.
+that the window searched is exhaustive. Each call evaluates its own words
+through :func:`~braidjones.engine.jones` or a :class:`FamilySweep` of its
+own, and keeps no value once it returns.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import random
 from typing import NamedTuple, Sequence
 
 from .braid import BraidWord, ExponentFamily, InvariantViolation, Syllable
-from .engine import FamilySweep, LOOP_VALUE, MemoTable, jones, step_up
+from .engine import FamilySweep, LOOP_VALUE, jones, step_up
 from .laurent import ONE, LaurentPoly
 
 
@@ -123,12 +125,7 @@ def predict_degrees(
     raise ValueError("V(e+2) inconsistent with a C = 0 critical pair")
 
 
-def order_bound_check(
-    family: ExponentFamily,
-    e: int,
-    m: int,
-    memo: MemoTable | None = None,
-) -> bool:
+def order_bound_check(family: ExponentFamily, e: int, m: int) -> bool:
     """Two-sided extreme-exponent bounds along a family.
 
     Going up, the order of V(e+m) is at least min(ord V(e), ord V(e+1))
@@ -137,7 +134,7 @@ def order_bound_check(
     """
     if m < 2:
         raise ValueError("the propagation bounds start at m = 2")
-    sweep = FamilySweep(family, memo)
+    sweep = FamilySweep(family)
     up_floor = min(int(sweep[e].order), int(sweep[e + 1].order)) + (m - 1)
     up_ok = int(sweep[e + m].order) >= up_floor
     down_ceil = max(_degree(sweep[e - 1]), _degree(sweep[e])) - (m - 1)
@@ -300,16 +297,14 @@ class DegreeReport(NamedTuple):
         return self.degree <= self.bound
 
 
-def degree_audit(
-    exponents: Sequence[int], memo: MemoTable | None = None
-) -> DegreeReport:
+def degree_audit(exponents: Sequence[int]) -> DegreeReport:
     """Check the syllable-count degree bound on one exponent vector."""
     exps = tuple(exponents)
     if not exps or len(exps) % 2:
         raise ValueError("need a nonempty even-length exponent vector")
     if any(a < 0 for a in exps):
         raise ValueError("the degree bound is for nonnegative exponents")
-    value = jones(_alternating_syllable_word(exps), memo)
+    value = jones(_alternating_syllable_word(exps))
     total = sum(exps)
     pairs = len(exps) // 2
     zeros = sum(1 for a in exps if a == 0)
@@ -382,7 +377,7 @@ class TableRow(NamedTuple):
     degree: int
 
 
-def leading_term_table(pairs: int, memo: MemoTable | None = None) -> list[TableRow]:
+def leading_term_table(pairs: int) -> list[TableRow]:
     """Census of all words x1^j1 x2^j2 ... x2^j2L with bits j in {0,1}.
 
     Rows group bit vectors whose reduced positive words are conjugate;
@@ -409,7 +404,7 @@ def leading_term_table(pairs: int, memo: MemoTable | None = None) -> list[TableR
         groups.setdefault((delta, canon), []).append(bits)
     rows: list[TableRow] = []
     for (delta, canon), members in groups.items():
-        value = jones(_letters_to_word(canon), memo)
+        value = jones(_letters_to_word(canon))
         lead = LaurentPoly.monomial(_degree(value), value.leading)
         rows.append(
             TableRow(
@@ -442,7 +437,6 @@ def leading_term_scan(
     samples: int,
     exp_max: int = 4,
     seed: int = 0,
-    memo: MemoTable | None = None,
 ) -> ScanReport:
     """Sample exponent vectors with entries >= 2 and test the leading term.
 
@@ -456,7 +450,7 @@ def leading_term_scan(
     mismatches: list[tuple[tuple[int, ...], str]] = []
     for _ in range(samples):
         exps = tuple(rng.randint(2, exp_max) for _ in range(2 * pairs))
-        value = jones(_alternating_syllable_word(exps), memo)
+        value = jones(_alternating_syllable_word(exps))
         expected_deg = 3 * sum(exps) - 2 * pairs
         if _degree(value) != expected_deg or value.leading != 1:
             lead = LaurentPoly.monomial(_degree(value), value.leading)
@@ -489,11 +483,9 @@ class UnitSearchResult(NamedTuple):
 _SCAN_LIMIT = 200
 
 
-def unit_window(
-    family: ExponentFamily, memo: MemoTable | None = None
-) -> UnitWindow:
+def unit_window(family: ExponentFamily) -> UnitWindow:
     """Certified finite window containing every possible unit exponent."""
-    return _scan_window(FamilySweep(family, memo))
+    return _scan_window(FamilySweep(family))
 
 
 def _scan_window(sweep: FamilySweep) -> UnitWindow:
@@ -522,16 +514,14 @@ def _scan_window(sweep: FamilySweep) -> UnitWindow:
     return UnitWindow(lo=lo, hi=hi, order_anchor=upper, degree_anchor=lower)
 
 
-def unit_search(
-    family: ExponentFamily, memo: MemoTable | None = None
-) -> UnitSearchResult:
+def unit_search(family: ExponentFamily) -> UnitSearchResult:
     """All exponents where the family value is exactly 1.
 
     Sweeps the certified window and verifies the structural constraints:
     at most two unit exponents, and when there are two they differ by
     exactly 2. A violation raises InvariantViolation.
     """
-    sweep = FamilySweep(family, memo)
+    sweep = FamilySweep(family)
     window = _scan_window(sweep)
     hits = tuple(
         e for e in range(window.lo, window.hi + 1) if sweep[e] == ONE

@@ -320,25 +320,41 @@ def _cmd_units(args: argparse.Namespace) -> int:
     return 0
 
 
+def _power_of_two(exp: int) -> tuple[str, int | str]:
+    """Text and JSON forms of the count 2^exp.
+
+    Python (3.10.7 and 3.11 on) converts an int of at most 4,300 decimal
+    digits to text by default, so above that limit both forms state the
+    count as "2^exp" alone.
+    """
+    count = 2**exp
+    try:
+        return f"2^{exp} = {count}", count
+    except ValueError:
+        return f"2^{exp}", f"2^{exp}"
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
     word = parse_braid(args.braid)
     syllables = len(word.canonical().syllables)
     crossings = word.crossing_count()
     start = time.perf_counter()
-    value = jones(word, memo={})
+    value = jones(word)
     elapsed = time.perf_counter() - start
+    terms_text, terms = _power_of_two(syllables)
+    states_text, states = _power_of_two(crossings)
     lines = [
         f"value: {value.text()}",
         f"engine time: {elapsed:.3f} s",
-        f"expansion terms: 2^{syllables} = {2 ** syllables}",
-        f"naive states: 2^{crossings} = {2 ** crossings}",
+        f"expansion terms: {terms_text}",
+        f"naive states: {states_text}",
     ]
     record: dict = {
         "input": word.text(),
         "polynomial": value.as_json_dict(),
         "engine_seconds": elapsed,
-        "expansion_terms": 2**syllables,
-        "naive_states": 2**crossings,
+        "expansion_terms": terms,
+        "naive_states": states,
     }
     if args.compare == "naive":
         from .bracket import jones_via_bracket

@@ -71,7 +71,6 @@ LIVE_BITS_CAP = 1 << 28
 # (|a| = 5, 3, 2) and 350 at width 32
 SHORT_BITS = 256
 
-MemoTable = dict[tuple[int, tuple[Syllable, ...]], LaurentPoly]
 Syllables = list[tuple[int, int]]  # (generator, exponent) pairs
 
 
@@ -148,37 +147,30 @@ def expand(word: BraidWord) -> list[ExpansionTerm]:
     return terms
 
 
-def expansion_value(word: BraidWord, memo: MemoTable | None = None) -> LaurentPoly:
+def expansion_value(word: BraidWord) -> LaurentPoly:
     """Evaluate a word through the full {0,1} expansion.
 
-    Costs 2^k base evaluations instead of the 2^(sum |a_i|) smoothing
-    states of the naive bracket; equals :func:`jones` on every input.
+    Costs 2^k base evaluations, one :func:`jones` call each, instead of the
+    2^(sum |a_i|) smoothing states of the naive bracket; equals
+    :func:`jones` on every input.
     """
     total = LaurentPoly()
     for term in expand(word):
-        total = total + term.weight * jones(term.base, memo)
+        total = total + term.weight * jones(term.base)
     return total.exact_div(_S2P1 ** len(word.syllables))
 
 
-def jones(word: BraidWord, memo: MemoTable | None = None) -> LaurentPoly:
+def jones(word: BraidWord) -> LaurentPoly:
     """Jones polynomial of the closure of a braid word.
 
     Exact over the integers in the variable s. One digit width serves the
     whole call: each cut part and twist is evaluated packed at that width,
     the packed values are multiplied as integers, and the product's digits
-    are read once. Nothing is cached unless a dict is passed as ``memo``,
-    which then maps canonical forms to final values. Raises CapExceeded
-    when a transfer would hold more than ``TRANSFER_CAP`` matchings at once,
-    a packed state more than ``PACKED_BITS_CAP`` bits, or its live states
-    more than ``LIVE_BITS_CAP`` bits together.
+    are read once; nothing is cached. Raises CapExceeded when a transfer
+    would hold more than ``TRANSFER_CAP`` matchings at once, a packed state
+    more than ``PACKED_BITS_CAP`` bits, or its live states more than
+    ``LIVE_BITS_CAP`` bits together.
     """
-    key = None
-    if memo is not None:
-        word = word.canonical()
-        key = (word.strands, word.syllables)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
     width, factors = _factors(word)
     packed, low, sign = 1, 0, 1
     for strands, part, count in factors:
@@ -186,10 +178,7 @@ def jones(word: BraidWord, memo: MemoTable | None = None) -> LaurentPoly:
         packed *= quot**count
         low += part_low * count
         sign *= part_sign**count
-    value = _unpack(packed, width, low, sign)
-    if key is not None:
-        memo[key] = value
-    return value
+    return _unpack(packed, width, low, sign)
 
 
 def _factors(word: BraidWord) -> tuple[int, list[tuple[int, Syllables, int]]]:
@@ -556,17 +545,16 @@ def _unpack(packed: int, width: int, low: int, sign: int) -> LaurentPoly:
 class FamilySweep:
     """Jones values of a one-slot family at any slot exponent.
 
-    Evaluates the word at slot exponents 0 and 1 once. Every other value,
-    negative exponents included, is the closed-form expansion
-    V(e) = (S_0[e] V(0) + S_1[e] V(1)) / D of :func:`general_term`, so it
-    costs time and memory in proportion to its own size, not to e. Each
-    value asked for by :meth:`value` is kept for repeated lookups;
-    :meth:`values` keeps none.
+    Evaluates the word at slot exponents 0 and 1 once, by :func:`jones`, on
+    first use. Every other value, negative exponents included, is the
+    closed-form expansion V(e) = (S_0[e] V(0) + S_1[e] V(1)) / D of
+    :func:`general_term`, so it costs time and memory in proportion to its
+    own size, not to e. Each value asked for by :meth:`value` is kept for
+    repeated lookups; :meth:`values` keeps none.
     """
 
-    def __init__(self, family: ExponentFamily, memo: MemoTable | None = None):
+    def __init__(self, family: ExponentFamily):
         self.family = family
-        self._memo = memo
         self._values: dict[int, LaurentPoly] = {}
         self._seeds: dict[tuple[int], LaurentPoly] = {}
 
@@ -574,7 +562,7 @@ class FamilySweep:
         seeds = self._seeds
         if not seeds:
             for exp in (0, 1):
-                v = jones(self.family.instantiate(exp), self._memo)
+                v = jones(self.family.instantiate(exp))
                 self._values[exp] = seeds[exp,] = v
         return seeds
 
@@ -597,18 +585,6 @@ class FamilySweep:
             yield general_term(SKEIN_SPEC, seeds, (exp,))
 
 
-def family_values(
-    family: ExponentFamily,
-    lo: int,
-    hi: int,
-    memo: MemoTable | None = None,
-) -> list[LaurentPoly]:
-    """Values of a family on the inclusive exponent range [lo, hi]."""
-    if lo > hi:
-        raise ValueError("empty exponent range")
-    return list(FamilySweep(family, memo).values(lo, hi))
-
-
 class GeneratingFunction(NamedTuple):
     """Rational generating function of Jones values over a syllable grid.
 
@@ -624,6 +600,7 @@ class GeneratingFunction(NamedTuple):
     only braid evaluations needed. The coefficient of t^n in Q_j(t)/q(t) is
     S_j[n]/D of the closed-form basis :func:`s_basis`, so a coefficient is
     one :func:`general_term` over the corner seeds, at any exponents.
+    :meth:`build` evaluates the seeds, one :func:`jones` call each.
     """
 
     strands: int
@@ -631,12 +608,7 @@ class GeneratingFunction(NamedTuple):
     seeds: Mapping[tuple[int, ...], LaurentPoly]
 
     @classmethod
-    def build(
-        cls,
-        strands: int,
-        indices: Iterable[int],
-        memo: MemoTable | None = None,
-    ) -> GeneratingFunction:
+    def build(cls, strands: int, indices: Iterable[int]) -> GeneratingFunction:
         indices = tuple(indices)
         if not indices:
             raise ValueError("need at least one syllable index")
@@ -646,7 +618,7 @@ class GeneratingFunction(NamedTuple):
                 strands,
                 tuple(Syllable(g, j) for g, j in zip(indices, bits)),
             )
-            seeds[bits] = jones(word, memo)
+            seeds[bits] = jones(word)
         return cls(strands, indices, seeds)
 
     def coefficient(self, exponents: Iterable[int]) -> LaurentPoly:

@@ -107,10 +107,6 @@ class LaurentPoly:
         """Coefficient at the order, 0 for the zero polynomial."""
         return self._coeffs[min(self._coeffs)] if self._coeffs else 0
 
-    def extremes(self) -> tuple[int | float, int | float, int, int]:
-        """(degree, order, leading, trailing) in one call."""
-        return (self.degree, self.order, self.leading, self.trailing)
-
     def coefficient(self, exp: int) -> int:
         return self._coeffs.get(exp, 0)
 

@@ -42,7 +42,6 @@ from braidjones.laurent import LaurentPoly
 from .helpers import random_family, random_word
 
 V = LaurentPoly.parse
-MEMO: dict = {}
 
 
 @contextlib.contextmanager
@@ -56,7 +55,7 @@ def verdict(number: int, title: str):
 
 
 def both_routes(word: BraidWord) -> LaurentPoly:
-    value = jones(word, MEMO)
+    value = jones(word)
     assert jones_via_bracket(word) == value, word.text()
     return value
 
@@ -87,7 +86,7 @@ def test_criterion_03_alternating_residue_formulas():
     with verdict(3, "six residue closed forms equal the engine for lengths 0..29"):
         start = time.perf_counter()
         for n in range(30):
-            assert alternating_closed_form(n) == jones(alternating_word(n), MEMO), n
+            assert alternating_closed_form(n) == jones(alternating_word(n)), n
         assert time.perf_counter() - start < 10.0
 
 
@@ -95,7 +94,7 @@ def test_criterion_04_two_strand_closed_form():
     with verdict(4, "two-strand closed form and its mirror symmetry on [-8, 8]"):
         fam = parse_family("B2: x1^@")
         for a in range(-8, 9):
-            assert two_strand_closed_form(a) == jones(fam.instantiate(a), MEMO), a
+            assert two_strand_closed_form(a) == jones(fam.instantiate(a)), a
             assert (
                 two_strand_closed_form(-a)
                 == two_strand_closed_form(a).inverse_variable()
@@ -113,11 +112,11 @@ def test_criterion_05_product_rule():
                 4, alpha.syllables + (Syllable(3, k),) + beta.syllables
             )
             flat = BraidWord(3, alpha.syllables + beta.syllables)
-            assert jones(joined, MEMO) == jones(flat, MEMO) * two_strand_closed_form(k)
+            assert jones(joined) == jones(flat) * two_strand_closed_form(k)
         for a1 in range(-4, 5):
             for a2 in range(-4, 5):
                 word = parse_braid(f"B3: x1^{a1} x2^{a2}")
-                assert jones(word, MEMO) == two_strand_closed_form(
+                assert jones(word) == two_strand_closed_form(
                     a1
                 ) * two_strand_closed_form(a2), (a1, a2)
 
@@ -147,20 +146,20 @@ def test_criterion_07_expansion_identity():
         for _ in range(100):
             strands = rng.choice((3, 4))
             word = random_word(rng, strands, max_syllables=6, max_abs_exp=3)
-            assert expansion_value(word, MEMO) == jones(word, MEMO), word.text()
+            assert expansion_value(word) == jones(word), word.text()
 
 
 def test_criterion_08_generating_functions():
     with verdict(8, "series coefficients, integer instance, and basis identity"):
         grids = [(2, (1,)), (3, (1, 2)), (3, (1, 2, 1))]
         for strands, indices in grids:
-            gf = GeneratingFunction.build(strands, indices, MEMO)
+            gf = GeneratingFunction.build(strands, indices)
             for vector in itertools.product(range(4), repeat=len(indices)):
                 word = BraidWord(
                     strands,
                     tuple(Syllable(g, a) for g, a in zip(indices, vector)),
                 )
-                assert gf.coefficient(vector) == jones(word, MEMO), (indices, vector)
+                assert gf.coefficient(vector) == jones(word), (indices, vector)
         mersenne = FibSpec(1, 2)
         prev, cur = 0, 1
         for n in range(21):
@@ -177,12 +176,12 @@ def test_criterion_09_degree_bounds():
     with verdict(9, "degree bounds exhaustive for three pairs; equality on samples"):
         for pairs in (1, 2, 3):
             for vector in itertools.product(range(5), repeat=2 * pairs):
-                report = degree_audit(vector, MEMO)
+                report = degree_audit(vector)
                 assert report.bound_met, vector
                 if all(a >= 1 for a in vector):
                     assert report.degree <= 3 * report.total - 2 * report.pairs, vector
         for pairs in (1, 2, 3, 4):
-            scan = leading_term_scan(pairs, samples=25, exp_max=4, seed=pairs, memo=MEMO)
+            scan = leading_term_scan(pairs, samples=25, exp_max=4, seed=pairs)
             assert scan.ok, scan.mismatches
 
 
@@ -234,7 +233,7 @@ def quartic(a1: int, a2: int, a3: int, a4: int) -> BraidWord:
 
 
 def assert_leading(word: BraidWord, degree: int, coeff: int, oracle: bool = False):
-    value = jones(word, MEMO)
+    value = jones(word)
     assert (int(value.degree), value.leading) == (degree, coeff), word.text()
     if oracle:
         assert jones_via_bracket(word) == value, word.text()
@@ -243,7 +242,7 @@ def assert_leading(word: BraidWord, degree: int, coeff: int, oracle: bool = Fals
 def test_criterion_10_leading_term_tables():
     with verdict(10, "census tables and the quartic-family leading-term rows"):
         for pairs, pinned in ((2, TABLE_TWO), (3, TABLE_THREE), (4, TABLE_FOUR)):
-            rows = leading_term_table(pairs, MEMO)
+            rows = leading_term_table(pairs)
             flat = [(r.delta, r.word, r.count, r.leading, r.degree) for r in rows]
             assert flat == pinned, pairs
             assert sum(r.count for r in rows) == 4**pairs
@@ -270,14 +269,14 @@ def test_criterion_10_leading_term_tables():
                 d = 2 + a3 + a4
                 assert_leading(quartic(1, 1, a3, a4), 3 * d - 4, -1)
         # row family (a1, 1, 2, 1): coefficient 2 at the critical start
-        assert jones(quartic(2, 1, 2, 1), MEMO) == V("2s^12 + s^8 + s^4")
+        assert jones(quartic(2, 1, 2, 1)) == V("2s^12 + s^8 + s^4")
         for a1 in range(2, 9):
             d = a1 + 4
             assert_leading(quartic(a1, 1, 2, 1), 3 * d - 6, 2 if a1 == 2 else 1)
         # row family (a1, 1, 3, 1): two pinned critical entries, then the
         # propagated tail -s^(3D-10); the tail is re-checked on the oracle
-        assert jones(quartic(3, 1, 3, 1), MEMO) == V("-s^16 + s^10 + s^6")
-        assert jones(quartic(4, 1, 3, 1), MEMO) == V("-s^11 - s^7")
+        assert jones(quartic(3, 1, 3, 1)) == V("-s^16 + s^10 + s^6")
+        assert jones(quartic(4, 1, 3, 1)) == V("-s^11 - s^7")
         for a1 in range(5, 9):
             d = a1 + 5
             assert_leading(quartic(a1, 1, 3, 1), 3 * d - 10, -1, oracle=True)
@@ -303,18 +302,18 @@ def test_criterion_10_leading_term_tables():
         # conjugation reductions tying the rows together
         for a3 in range(1, 7):
             for a4 in range(1, 7):
-                assert jones(quartic(2, 1, a3, a4), MEMO) == jones(
-                    quartic(a3, 1, a4 + 1, 1), MEMO
+                assert jones(quartic(2, 1, a3, a4)) == jones(
+                    quartic(a3, 1, a4 + 1, 1)
                 )
         for a1 in range(1, 7):
             for a4 in range(1, 7):
-                assert jones(quartic(a1, 1, 2, a4), MEMO) == jones(
-                    quartic(a1, 1, a4 + 1, 1), MEMO
+                assert jones(quartic(a1, 1, 2, a4)) == jones(
+                    quartic(a1, 1, a4 + 1, 1)
                 )
         for a1 in range(3, 8):
             for a3 in range(4, 8):
-                assert jones(quartic(a1, 1, a3, 2), MEMO) == jones(
-                    quartic(3, 1, a1, a3 - 1), MEMO
+                assert jones(quartic(a1, 1, a3, 2)) == jones(
+                    quartic(3, 1, a1, a3 - 1)
                 )
 
 
@@ -344,11 +343,11 @@ def test_criterion_11_propagation_rules():
                 random_family(rng, 3, max_syllables=4, max_abs_exp=3)
             )
         for fam in families:
-            sweep = FamilySweep(fam, MEMO)
+            sweep = FamilySweep(fam)
             check_propagation_window(sweep, -5, 5)
             for e in (-2, 0, 2):
                 for m in (2, 3, 5):
-                    assert order_bound_check(fam, e, m, MEMO), (fam.text(), e, m)
+                    assert order_bound_check(fam, e, m), (fam.text(), e, m)
             # eventual growth: degrees strictly increase past stable onset
             degrees = [int(sweep[e].degree) for e in range(-5, 11)]
             onset = next(
@@ -363,11 +362,11 @@ def test_criterion_11_propagation_rules():
 
 def test_criterion_12_unit_values():
     with verdict(12, "unit exponents: pinned pair, random families, knot parity"):
-        assert unit_search(parse_family("B2: x1^@"), MEMO).hits == (-1, 1)
+        assert unit_search(parse_family("B2: x1^@")).hits == (-1, 1)
         rng = random.Random(112)
         for _ in range(50):
             fam = random_family(rng, 3, max_syllables=4, max_abs_exp=3)
-            result = unit_search(fam, MEMO)  # raises on any violation
+            result = unit_search(fam)  # raises on any violation
             assert len(result.hits) <= 2
             if len(result.hits) == 2:
                 assert result.hits[1] - result.hits[0] == 2
@@ -379,8 +378,8 @@ def test_criterion_12_unit_values():
             first, second = fam.instantiate(e), fam.instantiate(e + 1)
             assert not (first.is_knot() and second.is_knot()), (fam.text(), e)
             at_one = (
-                jones(first, MEMO).evaluate(1),
-                jones(second, MEMO).evaluate(1),
+                jones(first).evaluate(1),
+                jones(second).evaluate(1),
             )
             assert at_one != (1, 1), (fam.text(), e)
 
@@ -391,10 +390,10 @@ def test_criterion_13_expansion_benchmark():
         assert word.crossing_count() == 60
         assert len(expand(word)) == 16
         start = time.perf_counter()
-        value = jones(word, memo={})
+        value = jones(word)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
-        assert value == jones(word, MEMO)
+        assert value == jones(word.canonical())
         small = parse_braid("B3: x1^3 x2^3 x1^3 x2^3")
         assert small.crossing_count() == 12
-        assert jones_via_bracket(small, 24, 0) == jones(small, MEMO)
+        assert jones_via_bracket(small, 24, 0) == jones(small)

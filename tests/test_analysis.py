@@ -97,7 +97,7 @@ class TestPredict:
 
     def test_critical_nonzero_sum(self):
         fam = parse_family("B3: x1^@ x2 x1^2 x2")
-        sweep = FamilySweep(fam, memo={})
+        sweep = FamilySweep(fam)
         v1, v2 = sweep[1], sweep[2]
         c = classify_pair(v1, v2)
         assert c.kind is Stability.CRITICAL
@@ -109,7 +109,7 @@ class TestPredict:
 
     def test_critical_zero_sum_needs_third_value(self):
         fam = parse_family("B3: x1^@ x2 x1^3 x2")
-        sweep = FamilySweep(fam, memo={})
+        sweep = FamilySweep(fam)
         c = classify_pair(sweep[1], sweep[2])
         assert c.kind is Stability.CRITICAL and c.coeff_sum == 0
         with pytest.raises(ValueError):
@@ -118,14 +118,14 @@ class TestPredict:
     def test_critical_zero_sum_reclassify(self):
         # next pair critical again: the rule defers one step
         fam = parse_family("B3: x1^@ x2 x1^3 x2")
-        sweep = FamilySweep(fam, memo={})
+        sweep = FamilySweep(fam)
         c = classify_pair(sweep[1], sweep[2])
         assert predict_degrees(c, sweep[1], sweep[2], 3, sweep[3]) is RECLASSIFY
 
     def test_critical_zero_sum_degree_drop(self):
         # V(e+2) drops in degree; from m = 3 on the degree climbs again
         fam = parse_family("B3: x1^@ x2 x1^3 x2")
-        sweep = FamilySweep(fam, memo={})
+        sweep = FamilySweep(fam)
         c = classify_pair(sweep[2], sweep[3])
         assert c.kind is Stability.CRITICAL and c.coeff_sum == 0
         assert int(sweep[4].degree) < int(sweep[3].degree)
@@ -158,10 +158,9 @@ class TestOrderBounds:
     )
     def test_two_sided_bounds(self, text):
         fam = parse_family(text)
-        memo = {}
         for e in (-2, 0, 3):
             for m in (2, 3, 5):
-                assert order_bound_check(fam, e, m, memo)
+                assert order_bound_check(fam, e, m)
 
     def test_m_lower_bound(self):
         with pytest.raises(ValueError):
@@ -205,20 +204,20 @@ class TestClosedForms:
 
 class TestDegreeAudit:
     def test_generic_word(self):
-        r = degree_audit((2, 2, 2, 2), memo={})
+        r = degree_audit((2, 2, 2, 2))
         assert (r.total, r.pairs, r.zeros) == (8, 2, 0)
         assert r.bound == 20
         assert (r.degree, r.leading) == (20, 1)
         assert r.bound_met
 
     def test_bound_strict_when_ones_present(self):
-        r = degree_audit((3, 1, 3, 1), memo={})
+        r = degree_audit((3, 1, 3, 1))
         assert r.bound == 20
         assert (r.degree, r.leading) == (16, -1)
         assert r.bound_met
 
     def test_zero_exponents_shift_bound(self):
-        r = degree_audit((2, 0, 3, 1), memo={})
+        r = degree_audit((2, 0, 3, 1))
         assert r.zeros == 1
         assert r.bound == 3 * 6 - 4 + 2
         assert r.bound_met
@@ -234,7 +233,7 @@ class TestDegreeAudit:
 
 class TestCensus:
     def test_single_pair_table(self):
-        rows = leading_term_table(1, memo={})
+        rows = leading_term_table(1)
         flat = [(r.delta, r.bits, r.word, r.count, r.leading, r.degree) for r in rows]
         assert flat == [
             (2, (0, 0), "1", 1, "s^2", 4),
@@ -244,7 +243,7 @@ class TestCensus:
         assert sum(r.count for r in rows) == 4
 
     def test_two_pair_table(self):
-        rows = leading_term_table(2, memo={})
+        rows = leading_term_table(2)
         flat = [(r.delta, r.word, r.count, r.leading, r.degree) for r in rows]
         assert flat == [
             (4, "1", 1, "s^2", 6),
@@ -285,7 +284,7 @@ class TestCensus:
             leading_term_table(0)
 
     def test_scan_clean(self):
-        report = leading_term_scan(2, samples=25, exp_max=4, seed=0, memo={})
+        report = leading_term_scan(2, samples=25, exp_max=4, seed=0)
         assert report.ok
         assert report.checked == 25
         assert report.mismatches == ()
@@ -297,20 +296,19 @@ class TestCensus:
 
 class TestUnits:
     def test_two_strand_units(self):
-        result = unit_search(parse_family("B2: x1^@"), memo={})
+        result = unit_search(parse_family("B2: x1^@"))
         assert result.hits == (-1, 1)
 
     def test_shifted_alternating_family(self):
         # units at -3 and -1; both instances destabilize to unknots
-        result = unit_search(parse_family("B3: x1^@ x2 x1 x2"), memo={})
+        result = unit_search(parse_family("B3: x1^@ x2 x1 x2"))
         assert result.hits == (-3, -1)
         assert result.hits[1] - result.hits[0] == 2
 
     def test_window_certificates(self):
         fam = parse_family("B2: x1^@")
-        memo = {}
-        window = unit_window(fam, memo)
-        sweep = FamilySweep(fam, memo)
+        window = unit_window(fam)
+        sweep = FamilySweep(fam)
         e, o0, o1 = window.order_anchor
         assert (int(sweep[e].order), int(sweep[e + 1].order)) == (o0, o1)
         assert o0 >= 1 and o1 >= 1
@@ -324,7 +322,7 @@ class TestUnits:
     def test_violation_guards(self, monkeypatch):
         # synthetic sweep with three unit values must trip the guard
         class Stub:
-            def __init__(self, family, memo=None):
+            def __init__(self, family):
                 pass
 
             def __getitem__(self, e):
@@ -340,7 +338,7 @@ class TestUnits:
 
     def test_spacing_guard(self, monkeypatch):
         class Stub:
-            def __init__(self, family, memo=None):
+            def __init__(self, family):
                 pass
 
             def __getitem__(self, e):

@@ -15,7 +15,7 @@ import braidjones
 from braidjones import engine
 from braidjones.braid import parse_braid
 from braidjones.cli import main
-from braidjones.engine import unlink_value
+from braidjones.engine import jones, unlink_value
 from braidjones.laurent import LaurentPoly
 
 from .helpers import DESTABILIZATION_CHAIN, SPLIT_CHAIN, SQUARE_CHAIN
@@ -458,6 +458,22 @@ class TestBench:
         )
         assert code == 0
         assert "naive: cap exceeded at c = 60 (limit 24)" in out
+
+    def test_counts_past_the_digit_limit(self, capsys):
+        # 2^15000 has 4,516 decimal digits, past the 4,300 that Python (3.10.7
+        # and 3.11 on) converts to text by default
+        word = "B2: x1^15000"
+        value = jones(parse_braid(word))
+        code, out, _ = run(capsys, "bench", "--braid", word)
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == f"value: {value.text()}"
+        assert lines[2:] == ["expansion terms: 2^1 = 2", "naive states: 2^15000"]
+        code, records, _ = run_json(capsys, "bench", "--braid", word)
+        assert code == 0
+        (rec,) = records
+        assert rec["polynomial"] == value.as_json_dict()
+        assert (rec["expansion_terms"], rec["naive_states"]) == (2, "2^15000")
 
 
 class TestUsage:

@@ -26,7 +26,6 @@ from braidjones.engine import (
     GeneratingFunction,
     expand,
     expansion_value,
-    family_values,
     jones,
     skein_weights,
     square_free_value,
@@ -156,7 +155,7 @@ class TestExpansion:
 
     def test_expansion_equals_engine_large_quartic(self):
         word = parse_braid("B3: x1^1003 x2^-998 x1^1001 x2^995")
-        assert expansion_value(word, {}) == jones(word, {})
+        assert expansion_value(word) == jones(word)
 
     # a syllable is short up to |a| = 9 at width 32 and up to 5 at width 64;
     # the examples hold syllables at that limit, one below and one above it
@@ -167,7 +166,7 @@ class TestExpansion:
     @example(parse_braid("B5: x1^5 x2^-100 x3^100 x4^-6 x1^-4 x2^100 x3^-100 x4^5"))
     @example(parse_braid("B5: x1^-5 x2^300 x3^-300 x4^6 x1^4 x2^-300 x3^300 x4^-5"))
     def test_expansion_equals_engine_short_and_long(self, word):
-        assert expansion_value(word, {}) == jones(word), word.text()
+        assert expansion_value(word) == jones(word), word.text()
 
     def test_expansion_equals_engine_wide_digits(self):
         # coefficients near 1.6e11, packed with large mixed-sign shifts
@@ -176,7 +175,7 @@ class TestExpansion:
         )
         value = jones(word)
         assert max(abs(c) for _, c in value.terms()) > 10**11
-        assert expansion_value(word, {}) == value
+        assert expansion_value(word) == value
 
 
 class TestEngine:
@@ -200,15 +199,15 @@ class TestEngine:
                 assert jones(word.rotated(k)) == jones(word)
 
     def test_long_destabilization_chain(self):
-        assert jones(parse_braid(DESTABILIZATION_CHAIN), {}) == V("1")
+        assert jones(parse_braid(DESTABILIZATION_CHAIN)) == V("1")
 
     def test_long_split_chain(self):
-        assert jones(parse_braid(SPLIT_CHAIN), {}) == unlink_value(600)
+        assert jones(parse_braid(SPLIT_CHAIN)) == unlink_value(600)
 
     def test_long_square_chain(self):
         assert engine._width(600, [2] * 599) == 1600
         hopf = V("-s^5 - s")
-        assert jones(parse_braid(SQUARE_CHAIN), {}) == hopf**599
+        assert jones(parse_braid(SQUARE_CHAIN)) == hopf**599
 
     def test_transfer_cap(self, monkeypatch):
         assert bracket.CapExceeded is CapExceeded
@@ -283,7 +282,7 @@ class TestEngine:
             monkeypatch.setattr(bracket, name, oracle)
         for word, value in zip(words, expected):
             assert jones(word) == value, word.text()
-            assert jones(word, {}) == value, word.text()
+            assert jones(word.canonical()) == value, word.text()
 
     def test_engine_source_imports_no_oracle(self):
         tree = ast.parse(inspect.getsource(engine))
@@ -300,16 +299,9 @@ class TestEngine:
     @given(small_words())
     def test_three_routes_agree(self, word):
         value = jones(word)
-        assert expansion_value(word, {}) == value
+        assert expansion_value(word) == value
         assert jones_via_bracket(word) == value
-
-    def test_memo_isolation(self):
-        memo = {}
-        word = parse_braid("B3: x1^2 x2^2")
-        value = jones(word, memo)
-        assert memo  # private table actually used
-        assert jones(word, memo) == value
-        assert jones(word, {}) == value
+        assert jones(word.canonical()) == value
 
     def test_mirror_symmetry(self):
         # reversing all crossings inverts the variable
@@ -393,22 +385,15 @@ class TestPackedWidth:
         monkeypatch.setattr(LaurentPoly, "__pow__", ring_product)
         for word, value in zip(words, expected):
             assert jones(word) == value, word.text()
-            assert jones(word, {}) == value, word.text()
+            assert jones(word.canonical()) == value, word.text()
 
 
 class TestFamilySweep:
     def test_matches_direct_evaluation(self):
         fam = parse_family("B3: x1^@ x2 x1^3 x2")
-        sweep = FamilySweep(fam, memo={})
+        sweep = FamilySweep(fam)
         for e in range(-4, 7):
             assert sweep[e] == jones(fam.instantiate(e)), e
-
-    def test_family_values_range(self):
-        fam = parse_family("B2: x1^@")
-        values = family_values(fam, -2, 3)
-        assert values == [jones(fam.instantiate(e)) for e in range(-2, 4)]
-        with pytest.raises(ValueError):
-            family_values(fam, 2, 1)
 
     def test_values_streams_without_keeping(self):
         fam = parse_family("B3: x1^@ x2 x1^3 x2")
@@ -419,7 +404,7 @@ class TestFamilySweep:
 
     def test_two_sided_consistency(self):
         fam = parse_family("B3: x2^@ x1^2 x2 x1")
-        sweep = FamilySweep(fam, memo={})
+        sweep = FamilySweep(fam)
         hi = sweep[5]   # extend up first
         lo = sweep[-5]  # then down
         assert hi == jones(fam.instantiate(5))
@@ -471,13 +456,13 @@ class TestFamilySweep:
 
 class TestGeneratingFunction:
     def test_single_variable_coefficients(self):
-        gf = GeneratingFunction.build(2, (1,), memo={})
+        gf = GeneratingFunction.build(2, (1,))
         fam = parse_family("B2: x1^@")
         for a in range(0, 9):
             assert gf.coefficient((a,)) == jones(fam.instantiate(a)), a
 
     def test_grid_coefficients(self):
-        gf = GeneratingFunction.build(3, (1, 2, 1, 2), memo={})
+        gf = GeneratingFunction.build(3, (1, 2, 1, 2))
         for exps in [(0, 0, 0, 0), (1, 1, 1, 1), (2, 1, 2, 1), (3, 0, 2, 2), (1, 3, 1, 3)]:
             word = BraidWord(
                 3, tuple(Syllable(g, a) for g, a in zip((1, 2, 1, 2), exps))
@@ -485,7 +470,7 @@ class TestGeneratingFunction:
             assert gf.coefficient(exps) == jones(word), exps
 
     def test_cone_restrictions(self):
-        gf = GeneratingFunction.build(2, (1,), memo={})
+        gf = GeneratingFunction.build(2, (1,))
         with pytest.raises(ValueError):
             gf.coefficient((-1,))
         with pytest.raises(ValueError):

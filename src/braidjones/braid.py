@@ -14,15 +14,11 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, NamedTuple
 
-from .laurent import ParseError
+from .laurent import CapExceeded, ParseError  # CapExceeded is re-exported
 
 
 class BoundsError(ValueError):
     """A generator index lies outside 1..strands-1."""
-
-
-class CapExceeded(RuntimeError):
-    """Input is larger than the configured cost cap for this evaluator."""
 
 
 class InvariantViolation(RuntimeError):

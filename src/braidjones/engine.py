@@ -33,11 +33,14 @@ e_i move that opens no loop is a saddle on the closure and changes its loop
 count by one, so a matching's polynomial is s^p C(s^2) with p fixed by the
 parity of its loop count (the parity behind Kauffman's state sum). Each C
 is packed into one integer as its value at s^2 = 2^width (Kronecker
-substitution), so each shift, sum and product is one integer operation. The
-width is chosen once per word, from a proved bound on the coefficients of
-its value (:func:`_coefficient_bound`); every part and twist is packed at
-that width, their quotients are multiplied as integers, and the digits of
-the product are read back once, in C, through a memoryview.
+substitution), so each shift, sum and product is one integer operation, at
+a cost in proportion to the width. The width is chosen once per word, the
+narrowest of 8, 16, 32, 40, 48, 56 and 64 bits, or a multiple of 64, that
+holds a proved bound on the coefficients of its value
+(:func:`_coefficient_bound`); every part and twist is packed at that width,
+their quotients are multiplied as integers, and the digits of the product
+are read back once, in C, through a memoryview, a 5- to 7-byte digit
+widened to 8 bytes first.
 """
 
 from __future__ import annotations
@@ -68,8 +71,12 @@ LIVE_BITS_CAP = 1 << 28
 # Bits of packed G_a, (|a| - 1) * width, up to which a syllable divides out
 # u + 1 where it stands. Timed on 4-6 strands, 7-14 syllables of one |a|, the
 # product with G_a beats carrying u + 1 up to about 256 bits at widths 64-256
-# (|a| = 5, 3, 2) and 350 at width 32
+# (|a| = 5, 3, 2) and 350 at width 32. At widths 40, 48 and 56 (|a| up to 7,
+# 6 and 5) three sets of 40 such words took 0.78-1.04 of the long kernel's
+# time at the limit and 0.91-1.16 one |a| above it, 280-288 bits
 SHORT_BITS = 256
+# The sign of each byte, spread over a whole byte: 0x00 below 0x80, 0xff from it
+_SIGN_BYTES = bytes(128) + b"\xff" * 128
 
 Syllables = list[tuple[int, int]]  # (generator, exponent) pairs
 
@@ -364,15 +371,20 @@ def _matchings(strands: int) -> _Matchings:
 
 
 def _width(strands: int, exps: Iterable[int]) -> int:
-    """Digit width of a packed value: 8, 16, 32, 64 or a multiple of 64.
+    """Digit width of a packed value: 8, 16, 32, 40, 48, 56, 64 or a multiple of 64.
 
     The smallest such width whose signed digits exceed
     :func:`_coefficient_bound` of a closure on ``strands`` strands with
     syllable exponents ``exps``; these are the widths :func:`_unpack` reads.
+    Every shift, sum and product of a packed value costs in proportion to
+    its width, so above 32 bits the width steps by whole bytes; at or below
+    32 a narrower odd width saves less than its widening costs.
     """
     bits = _coefficient_bound(strands, exps).bit_length() + 1
     if bits > 64:
         return -(-bits // 64) * 64
+    if bits > 32:
+        return -(-bits // 8) * 8
     return max(8, 1 << (bits - 1).bit_length())
 
 
@@ -518,28 +530,45 @@ def _unpack(packed: int, width: int, low: int, sign: int) -> LaurentPoly:
 
     ``packed`` is the value at 2^width of a polynomial whose coefficients
     (its signed digits) lie strictly between -2^(width-1) and 2^(width-1);
-    ``width`` is 8, 16, 32 or a multiple of 64. Adding half the base to
-    every digit leaves no borrows, and flipping that bit back leaves each
-    digit in two's complement, so the digits are read in C: as one signed
-    limb up to 64 bits, else as 64-bit limbs, the top one signed, joined by
-    map.
+    ``width`` is 8, 16, 32, 40, 48, 56 or a multiple of 64. Adding half the
+    base to every digit leaves no borrows, and flipping that bit back leaves
+    each digit in two's complement, so the digits are read in C: as one
+    signed limb up to 64 bits, else as 64-bit limbs, the top one signed,
+    joined by map. A 5-, 6- or 7-byte digit is first widened to an 8-byte
+    slot: its bytes by strided copies, and above them its top byte's sign,
+    spread by one ``bytes.translate``.
     """
-    limb = min(width, 64)
-    per = width // limb  # limbs to a digit
     count = packed.bit_length() // width + 1
     size = width // 8
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
     twos = (sign * packed + bias) ^ bias
-    raw = memoryview(twos.to_bytes(count * size, sys.byteorder))
-    order = 1 if sys.byteorder == "little" else -1  # least significant limb first
-    fmt = "bhiq"[limb.bit_length() - 4]
-    digits = raw.cast(fmt)[::order][per - 1 :: per]
-    lows = raw.cast(fmt.upper())[::order]
-    for j in range(per - 2, -1, -1):
-        high = map(int.__lshift__, digits, itertools.repeat(64))
-        digits = list(map(int.__add__, high, lows[j::per]))
+    little = sys.byteorder == "little"
+    raw = twos.to_bytes(count * size, sys.byteorder)
+    if size in (5, 6, 7):
+        # a slot holds the digit's bytes at its low end, the sign at its high end
+        pad = 8 - size
+        wide = bytearray(8 * count)
+        for k in range(size):
+            wide[k if little else pad + k :: 8] = raw[k::size]
+        fill = raw[size - 1 if little else 0 :: size].translate(_SIGN_BYTES)
+        for k in range(size, 8) if little else range(pad):
+            wide[k::8] = fill
+        raw, size = wide, 8
+    limb = min(size, 8)
+    per = size // limb  # limbs to a digit
+    view = memoryview(raw)
+    fmt = "bhiq"[limb.bit_length() - 1]
+    order = 1 if little else -1  # least significant limb first
+    digits = view.cast(fmt)[::order][per - 1 :: per].tolist()
+    if per > 1:
+        lows = view.cast(fmt.upper())[::order]
+        for j in range(per - 2, -1, -1):
+            high = map(int.__lshift__, digits, itertools.repeat(64))
+            digits = list(map(int.__add__, high, lows[j::per]))
     exps = range(low, low + 2 * count, 2)
-    return LaurentPoly._make(dict(itertools.compress(zip(exps, digits), digits)))
+    if 0 in digits:
+        return LaurentPoly._make(dict(itertools.compress(zip(exps, digits), digits)))
+    return LaurentPoly._make(dict(zip(exps, digits)))
 
 
 class FamilySweep:

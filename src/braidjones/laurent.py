@@ -29,6 +29,27 @@ NEG_INFINITY = -math.inf
 POS_INFINITY = math.inf
 
 
+# Quotient terms a long division may be forced to produce. A quotient term
+# c s^q leaves the remainder a nonzero term at q + order(den) unless the
+# dividend has one there, so from a term at e with the dividend's next term
+# (or the floor) at b the walk produces at least (e - b) / span(den) - 1
+# more terms, whatever cancels later; exact_div raises before it starts on
+# more than the cap. The package divides D^k V by D^k for a word's value V,
+# so the quotient is V. A transfer part packed at width w has a state degree
+# in s^2 of at most its packed span over w, at most engine.PACKED_BITS_CAP =
+# 2^25 over w for a part that engine._admit admits, so its value spans at
+# most 2^26 / w in s. A word on n strands is cut into parts (at most n / 2:
+# each has two strands or more) and twists (one per cut, at most n - 1), and
+# V is their product, so V spans less than (3n / 2) 2^26 / w; and w > n,
+# since 2^(n-1) divides the coefficient bound that sets w. So V spans less
+# than 3 * 2^25 in steps of 2: fewer than 3 * 2^24 + 1 terms, under the cap.
+QUOTIENT_CAP = 1 << 26
+
+
+class CapExceeded(RuntimeError):
+    """Input is larger than the configured cost cap for this evaluator."""
+
+
 class NotDivisible(ArithmeticError):
     """Raised when an exact division leaves a nonzero remainder."""
 
@@ -210,7 +231,8 @@ class LaurentPoly:
         holds only when the division is exact: a failing one raises when the
         remainder drops below the dividend's order, so
         ``(s^N + 2).exact_div(s^2 + 1)`` walks all N/2 quotient terms down
-        the gap before it raises.
+        the gap before it raises. So a walk forced to produce more than
+        ``QUOTIENT_CAP`` quotient terms raises CapExceeded before it starts.
 
         >>> LaurentPoly.parse("-s^7 - s^5 - s^3 - s").exact_div(
         ...     LaurentPoly.parse("s^2 + 1")).text()
@@ -227,6 +249,9 @@ class LaurentPoly:
         # a quotient term below this would leave terms under the dividend's
         # order that nothing later can cancel
         floor = self.order - den.order
+        bottom = floor + ddeg  # the lowest exponent that gives a quotient term
+        # how far down a walk with no dividend term may run under the cap
+        reach = QUOTIENT_CAP * (ddeg - den.order) if dtail else math.inf
         rem = dict(self._coeffs)
         todo = sorted(rem, reverse=True)
         nxt = 0
@@ -238,6 +263,8 @@ class LaurentPoly:
             elif nxt < len(todo):
                 e = todo[nxt]
                 nxt += 1
+                # a walk from here runs down to the next dividend term or the floor
+                below = max(todo[nxt], bottom) if nxt < len(todo) else bottom
             else:
                 break
             c = rem.pop(e)
@@ -249,6 +276,11 @@ class LaurentPoly:
             qc, r = divmod(c, dlead)
             if r:
                 raise NotDivisible(f"coefficient {c} not divisible by {dlead}")
+            if e - below > reach:
+                raise CapExceeded(
+                    f"dividing by a divisor of span {ddeg - den.order} from s^{e} "
+                    f"down to s^{below} exceeds the cap of {QUOTIENT_CAP} quotient terms"
+                )
             quot[qe] = qc
             for de, dc in dtail:
                 ne = de + qe

@@ -521,6 +521,24 @@ class TestClosedFormCaps:
         assert (code, out) == (1, "")
         assert err.startswith("braidjones: ") and f"cap of {engine.PACKED_BITS_CAP} bits" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["family", "B3: x1^2 x2^@ x1^-3 x2", "--range", f"{E}..{E}"],
+            ["genfun", "--strands", "3", "--indices", "1,2", "--coeff", f"{E},3"],
+            ["classify", "B3: x1^2 x2^@ x1^-3 x2", "--at", str(E)],
+        ],
+    )
+    def test_ring_cap_exits_one(self, capsys, monkeypatch, argv):
+        # past the closed forms' span check, the division by D^k refuses to
+        # walk V(e)'s e quotient terms before it starts
+        monkeypatch.setattr(engine, "_admit", lambda word: None)
+        start = time.perf_counter()
+        code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (1, "")
+        assert err.startswith("braidjones: ") and "quotient terms" in err
+
 
 class TestImportBoundary:
     # each command runs in a fresh interpreter, so what it imports is seen

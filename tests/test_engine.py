@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from braidjones import bracket, engine
+from braidjones import bracket, engine, laurent
 from braidjones.braid import (
     BraidWord,
     CapExceeded,
@@ -157,14 +157,19 @@ class TestExpansion:
         word = parse_braid("B3: x1^1003 x2^-998 x1^1001 x2^995")
         assert expansion_value(word) == jones(word)
 
-    # a syllable is short up to |a| = 9 at width 32 and up to 5 at width 64;
-    # the examples hold syllables at that limit, one below and one above it
+    # a syllable is short up to |a| = 9 at width 32, 7 at 40, 6 at 48 and 5
+    # at 56 and 64; the examples hold syllables at that limit, one below and
+    # one above it, at widths 32, 32, 40, 48, then 40, 48, 56 and 64
     @settings(max_examples=60, deadline=None)
     @given(mixed_words())
     @example(parse_braid("B4: x1^9 x2^-12 x3^12 x1^-10 x2^8 x3^-12"))
     @example(parse_braid("B5: x1^9 x2^-12 x3^12 x4^-10 x1^-8 x2^12 x3^-12 x4^-9"))
     @example(parse_braid("B5: x1^5 x2^-100 x3^100 x4^-6 x1^-4 x2^100 x3^-100 x4^5"))
     @example(parse_braid("B5: x1^-5 x2^300 x3^-300 x4^6 x1^4 x2^-300 x3^300 x4^-5"))
+    @example(parse_braid("B5: x1^7 x2^-100 x3^100 x4^-8 x1^-6 x2^100 x3^-100 x4^7"))
+    @example(parse_braid("B5: x1^6 x2^-300 x3^300 x4^-7 x1^-5 x2^300 x3^-300 x4^6"))
+    @example(parse_braid("B5: x1^5 x2^-2000 x3^2000 x4^-6 x1^-4 x2^2000 x3^-2000 x4^5"))
+    @example(parse_braid("B6: x1^5 x2^-500 x3^500 x4^-500 x5^500 x1^-4 x2^500 x3^-500 x4^6"))
     def test_expansion_equals_engine_short_and_long(self, word):
         assert expansion_value(word) == jones(word), word.text()
 
@@ -316,13 +321,16 @@ class TestEngine:
 
 
 class TestUnpack:
-    @pytest.mark.parametrize("width", [8, 16, 32, 64, 128, 192, 320, 1600])
+    @pytest.mark.parametrize("width", [8, 16, 32, 40, 48, 56, 64, 128, 192, 320, 1600])
     def test_round_trip(self, width):
         top = (1 << width - 1) - 1
         rng = random.Random(width)
         edges = [0, 0, top, -top, 0, 0, 0, 1, -1, top, top, -top, -top]
         noise = [rng.choice((0, 0, rng.randint(-top, top))) for _ in range(200)]
-        for digits in (edges + [1], edges + [-1], edges + noise + [-top], [top]):
+        # no digit zero, the top one positive: no digit to drop
+        dense = [rng.choice((1, -1)) * rng.randint(1, top) for _ in range(200)]
+        dense += [-top, top, -1, 1, top]
+        for digits in (edges + [1], edges + [-1], edges + noise + [-top], [top], dense):
             packed = sum(d << width * i for i, d in enumerate(digits))
             for low, sign in ((-7, 1), (4, -1)):
                 expected = LaurentPoly(
@@ -344,10 +352,17 @@ class TestPackedWidth:
         assert bound < 1 << engine._width(word.strands, exps) - 1
         assert all(abs(c) <= bound for _, c in jones(word).terms()), word.text()
 
-    @pytest.mark.parametrize("a, width", [(811, 32), (812, 64)])
+    @pytest.mark.parametrize("a, width", [(811, 32), (812, 40), (5159, 40), (5160, 48)])
     def test_boundary_quartics(self, a, width):
         word = parse_braid(f"B3: x1^{a} x2^{a} x1^{a} x2^{a}")
         assert engine._width(3, [a] * 4) == width
+        assert jones(word) == expansion_value(word)
+
+    # the smallest a whose coefficient bound needs 49 and 57 signed bits
+    @pytest.mark.parametrize("a, width", [(444, 48), (445, 56), (1349, 56), (1350, 64)])
+    def test_boundary_words(self, a, width):
+        word = parse_braid(f"B4: x1^{a} x2^-{a} x3^{a} x1^-{a} x2^{a} x3^-{a}")
+        assert engine._width(4, [s.exp for s in word.syllables]) == width
         assert jones(word) == expansion_value(word)
 
     def test_found_word_is_fast(self):
@@ -426,6 +441,30 @@ class TestFamilySweep:
         assert peak < 8 << 20
         assert value == jones(fam.instantiate(exp))
 
+
+    def test_quotient_cap_passes_admitted_exponents(self, monkeypatch):
+        # each value is a division whose quotient has about e terms, and the
+        # ring's cap on them follows the packed bits cap: at both caps scaled
+        # down by one ratio, the largest exponent admitted still evaluates
+        fam = parse_family("B3: x1^@ x2 x1^3 x2")
+        assert FamilySweep(fam)[10**5] == jones(fam.instantiate(10**5))
+        scale = engine.PACKED_BITS_CAP >> 12
+        monkeypatch.setattr(engine, "PACKED_BITS_CAP", engine.PACKED_BITS_CAP // scale)
+        monkeypatch.setattr(laurent, "QUOTIENT_CAP", laurent.QUOTIENT_CAP // scale)
+        for text in ("B2: x1^@", "B3: x1^@ x2 x1^3 x2", "B4: x1^@ x2^3 x3^-2"):
+            fam = parse_family(text)
+            lo, hi = 1, 1 << 12  # admitted, refused
+            engine._admit(fam.instantiate(lo))
+            with pytest.raises(CapExceeded):
+                engine._admit(fam.instantiate(hi))
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    engine._admit(fam.instantiate(mid))
+                    lo = mid
+                except CapExceeded:
+                    hi = mid
+            assert FamilySweep(fam)[lo] == jones(fam.instantiate(lo)), text
 
     def test_span_cap_admits_what_jones_admits(self, monkeypatch):
         # x1^@ x2^5 cuts into two twists, so a span summed over the whole

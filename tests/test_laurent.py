@@ -8,7 +8,9 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from braidjones.laurent import LaurentPoly, NotDivisible, ParseError
+import braidjones
+from braidjones import braid, laurent
+from braidjones.laurent import CapExceeded, LaurentPoly, NotDivisible, ParseError
 
 S = LaurentPoly.monomial(1)
 ONE = LaurentPoly.monomial(0)
@@ -138,6 +140,20 @@ class TestExactDivision:
         start = time.perf_counter()
         assert (p * den).exact_div(den) == p
         assert time.perf_counter() - start < 1.0
+
+    def test_gap_walk_cap(self):
+        # uncapped, this failing division walks N/2 quotient terms down the gap
+        assert braidjones.CapExceeded is braid.CapExceeded is CapExceeded
+        den = LaurentPoly({2: 1, 0: 1})
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=f"cap of {laurent.QUOTIENT_CAP} quotient"):
+            LaurentPoly({10**12: 1, 0: 2}).exact_div(den)
+        assert time.perf_counter() - start < 0.1
+        # the cap is on the terms a walk must produce, not on the span: one
+        # dense quotient from a two-term dividend is still exact
+        n = 10**5
+        ones = LaurentPoly({n: 1, 0: -1}).exact_div(LaurentPoly({1: 1, 0: -1}))
+        assert ones == LaurentPoly({e: 1 for e in range(n)})
 
 
 class TestText:

@@ -559,16 +559,14 @@ def _unpack(packed: int, width: int, low: int, sign: int) -> LaurentPoly:
     view = memoryview(raw)
     fmt = "bhiq"[limb.bit_length() - 1]
     order = 1 if little else -1  # least significant limb first
+    # a list, since compress reads every digit twice
     digits = view.cast(fmt)[::order][per - 1 :: per].tolist()
-    if per > 1:
-        lows = view.cast(fmt.upper())[::order]
-        for j in range(per - 2, -1, -1):
-            high = map(int.__lshift__, digits, itertools.repeat(64))
-            digits = list(map(int.__add__, high, lows[j::per]))
+    lows = view.cast(fmt.upper())[::order]
+    for j in range(per - 2, -1, -1):
+        high = map(int.__lshift__, digits, itertools.repeat(64))
+        digits = list(map(int.__add__, high, lows[j::per]))
     exps = range(low, low + 2 * count, 2)
-    if 0 in digits:
-        return LaurentPoly._make(dict(itertools.compress(zip(exps, digits), digits)))
-    return LaurentPoly._make(dict(zip(exps, digits)))
+    return LaurentPoly._make(dict(itertools.compress(zip(exps, digits), digits)))
 
 
 class FamilySweep:

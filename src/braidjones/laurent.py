@@ -232,7 +232,9 @@ class LaurentPoly:
         remainder drops below the dividend's order, so
         ``(s^N + 2).exact_div(s^2 + 1)`` walks all N/2 quotient terms down
         the gap before it raises. So a walk forced to produce more than
-        ``QUOTIENT_CAP`` quotient terms raises CapExceeded before it starts.
+        ``QUOTIENT_CAP`` quotient terms raises CapExceeded before it starts,
+        even where its first step would raise NotDivisible:
+        ``(2s^N + 1).exact_div(2s^2 + 1)`` raises CapExceeded for a large N.
 
         >>> LaurentPoly.parse("-s^7 - s^5 - s^3 - s").exact_div(
         ...     LaurentPoly.parse("s^2 + 1")).text()

@@ -149,6 +149,12 @@ class TestExactDivision:
         with pytest.raises(CapExceeded, match=f"cap of {laurent.QUOTIENT_CAP} quotient"):
             LaurentPoly({10**12: 1, 0: 2}).exact_div(den)
         assert time.perf_counter() - start < 0.1
+        # the cap is checked before the walk's first subtraction, so it wins
+        # over a coefficient the walk would fail to divide one step later
+        with pytest.raises(CapExceeded):
+            LaurentPoly({10**12: 2, 0: 1}).exact_div(LaurentPoly({2: 2, 0: 1}))
+        with pytest.raises(NotDivisible):
+            LaurentPoly({10: 2, 0: 1}).exact_div(LaurentPoly({2: 2, 0: 1}))
         # the cap is on the terms a walk must produce, not on the span: one
         # dense quotient from a two-term dividend is still exact
         n = 10**5

@@ -19,9 +19,14 @@ import itertools
 import random
 from typing import NamedTuple, Sequence
 
-from .braid import BraidWord, ExponentFamily, InvariantViolation, Syllable
+from .braid import BraidWord, CapExceeded, ExponentFamily, InvariantViolation, Syllable
 from .engine import FamilySweep, LOOP_VALUE, jones, step_up
 from .laurent import ONE, LaurentPoly
+
+
+# Syllable pairs of a census: it walks 4^P bit vectors and keeps each; 4^8 took
+# 0.7 s and 36 MiB on a 2-vCPU host, and each pair more multiplies both by four
+CENSUS_PAIRS_CAP = 8
 
 
 class ZeroPolynomial(ValueError):
@@ -387,6 +392,8 @@ def leading_term_table(pairs: int) -> list[TableRow]:
     """
     if pairs < 1:
         raise ValueError("need at least one syllable pair")
+    if pairs > CENSUS_PAIRS_CAP:
+        raise CapExceeded(f"4^{pairs} bit vectors exceed the cap of 4^{CENSUS_PAIRS_CAP}")
     # the moves are invertible, so one closure is a whole class: every
     # member maps to its least word and no member is closed over again
     least: dict[tuple[int, ...], tuple[int, ...]] = {}

@@ -223,6 +223,7 @@ def bracket_tl(word: BraidWord, max_strands: int = DEFAULT_MAX_STRANDS) -> Brack
     for gen, direction in word.letters():
         pass_w = A_INV if direction > 0 else A
         cap_w = A if direction > 0 else A_INV
+        loop_w = cap_w * DELTA
         p = n + gen - 1
         q = p + 1
         nxt: dict[tuple[int, ...], BracketPoly] = {}
@@ -237,7 +238,7 @@ def bracket_tl(word: BraidWord, max_strands: int = DEFAULT_MAX_STRANDS) -> Brack
             if a == q:
                 # p and q were already partners: the cap closes a loop and
                 # the cup restores the same matching
-                bump(match, coeff * cap_w * DELTA)
+                bump(match, coeff * loop_w)
             else:
                 rewired = list(match)
                 rewired[a], rewired[b] = b, a

@@ -23,20 +23,11 @@ import random
 import re
 import sys
 import time
-from typing import TYPE_CHECKING, Sequence
+from typing import Iterable, Sequence
 
-from .braid import (
-    BoundsError,
-    CapExceeded,
-    InvariantViolation,
-    parse_braid,
-    parse_family,
-)
-from .engine import FamilySweep, GeneratingFunction, jones
+from .braid import BoundsError, CapExceeded, InvariantViolation, parse_braid, parse_family
+from .engine import CORNER_CAP, FamilySweep, GeneratingFunction, jones
 from .laurent import LaurentPoly, ParseError
-
-if TYPE_CHECKING:
-    from .analysis import DegreeReport
 
 
 class _Parser(argparse.ArgumentParser):
@@ -161,50 +152,22 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 print(f"prediction: critical again at {e + 1}; classify there")
         else:
             actual = sweep[e + m]
-            agree = (
-                int(actual.degree) == prediction.degree
-                and actual.leading == prediction.coeff
-            )
-            out["prediction"] = {
-                "degree": prediction.degree,
-                "leading": prediction.coeff,
-            }
-            out["actual"] = {
-                "degree": int(actual.degree),
-                "leading": actual.leading,
-            }
+            agree = (int(actual.degree), actual.leading) == prediction
+            out["prediction"] = {"degree": prediction.degree, "leading": prediction.coeff}
+            out["actual"] = {"degree": int(actual.degree), "leading": actual.leading}
             out["agree"] = agree
             if not args.json:
-                print(
-                    f"predicted V({e}+{m}): degree {prediction.degree}, "
-                    f"leading {prediction.coeff}"
-                )
-                print(
-                    f"actual: degree {int(actual.degree)}, "
-                    f"leading {actual.leading}"
-                )
+                print(f"predicted V({e}+{m}): degree {prediction.degree}, "
+                      f"leading {prediction.coeff}")
+                print(f"actual: degree {int(actual.degree)}, leading {actual.leading}")
                 print(f"agree: {str(agree).lower()}")
             if not agree:
                 raise InvariantViolation(
-                    f"degree prediction failed for {family.text()} at "
-                    f"e={e}, m={m}"
+                    f"degree prediction failed for {family.text()} at e={e}, m={m}"
                 )
     if args.json:
         print(json.dumps(out))
     return 0
-
-
-def _report_dict(report: DegreeReport) -> dict:
-    return {
-        "exponents": list(report.exponents),
-        "total": report.total,
-        "pairs": report.pairs,
-        "zeros": report.zeros,
-        "bound": report.bound,
-        "degree": report.degree,
-        "leading": report.leading,
-        "bound_met": report.bound_met,
-    }
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -213,7 +176,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     if args.exps is not None:
         report = analysis.degree_audit(_parse_ints(args.exps))
         if args.json:
-            print(json.dumps(_report_dict(report)))
+            print(json.dumps({**report._asdict(), "bound_met": report.bound_met}))
         else:
             print(
                 f"exponents {report.exponents}: degree {report.degree} "
@@ -224,19 +187,24 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         return 0 if report.bound_met else 2
     if args.pairs is None:
         raise ParseError("audit needs --exps or --pairs", 0)
-    vectors: list[tuple[int, ...]]
-    if args.samples is not None:
-        rng = random.Random(args.seed)
-        vectors = [
-            tuple(rng.randint(0, args.max_exp) for _ in range(2 * args.pairs))
-            for _ in range(args.samples)
-        ]
+    width = 2 * args.pairs
+    if args.samples is None:
+        # a base of 2 or more passes the cap at this width, so no huge power is built
+        words = max(args.max_exp + 1, 0) ** min(max(width, 0), AUDIT_CAP.bit_length())
     else:
-        vectors = list(
-            itertools.product(range(args.max_exp + 1), repeat=2 * args.pairs)
-        )
+        words = args.samples
+    if words * width > AUDIT_CAP:
+        raise CapExceeded(f"{words} words of {width} exponents exceed the cap of {AUDIT_CAP}")
+    rng = random.Random(args.seed)
+    vectors: Iterable[tuple[int, ...]] = (
+        itertools.product(range(args.max_exp + 1), repeat=width)
+        if args.samples is None
+        else (tuple(rng.randint(0, args.max_exp) for _ in range(width)) for _ in range(words))
+    )
+    checked = 0
     violations = []
     for exps in vectors:
+        checked += 1
         report = analysis.degree_audit(exps)
         if not report.bound_met:
             violations.append(report)
@@ -244,13 +212,13 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         print(
             json.dumps(
                 {
-                    "checked": len(vectors),
+                    "checked": checked,
                     "violations": [v.exponents for v in violations],
                 }
             )
         )
     else:
-        print(f"checked {len(vectors)} words: {len(violations)} violations")
+        print(f"checked {checked} words: {len(violations)} violations")
         for v in violations:
             print(f"  {v.exponents}: degree {v.degree} > bound {v.bound}")
     return 0 if not violations else 2
@@ -262,18 +230,8 @@ def _cmd_tables(args: argparse.Namespace) -> int:
     rows = analysis.leading_term_table(args.pairs)
     if args.json:
         for row in rows:
-            print(
-                json.dumps(
-                    {
-                        "delta": row.delta,
-                        "bits": "".join(map(str, row.bits)),
-                        "word": row.word,
-                        "count": row.count,
-                        "leading": row.leading,
-                        "degree": row.degree,
-                    }
-                )
-            )
+            # the fields in order, the bits as one string
+            print(json.dumps({**row._asdict(), "bits": "".join(map(str, row.bits))}))
         return 0
     width = max(4, 2 * args.pairs)
     print(
@@ -296,27 +254,17 @@ def _cmd_units(args: argparse.Namespace) -> int:
     result = analysis.unit_search(family)
     window = result.window
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "input": family.text(),
-                    "window": [window.lo, window.hi],
-                    "order_anchor": list(window.order_anchor),
-                    "degree_anchor": list(window.degree_anchor),
-                    "hits": list(result.hits),
-                }
-            )
-        )
+        lo, hi, order_anchor, degree_anchor = window
+        record = {"input": family.text(), "window": [lo, hi]}
+        record.update(order_anchor=order_anchor, degree_anchor=degree_anchor, hits=result.hits)
+        print(json.dumps(record))
         return 0
     print(f"window: [{window.lo}, {window.hi}]")
     e, o1, o2 = window.order_anchor
     print(f"order anchor: orders {o1}, {o2} at exponents {e}, {e + 1}")
     e, d1, d2 = window.degree_anchor
     print(f"degree anchor: degrees {d1}, {d2} at exponents {e}, {e - 1}")
-    if result.hits:
-        print("units at: " + ", ".join(map(str, result.hits)))
-    else:
-        print("units at: none")
+    print("units at: " + (", ".join(map(str, result.hits)) or "none"))
     return 0
 
 
@@ -406,6 +354,9 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 
 # -- parser --------------------------------------------------------------
 
+# Exponents one audit reads over all its words: about 10 us each on a 2-vCPU
+# host (60 us a word of 3 pairs to 4), so 2^17 of them take about 1.3 s
+AUDIT_CAP = 1 << 17
 # the naive oracle sums 2^c states, about 0.9 us each on a 2-vCPU host
 _NAIVE_CAP = "crossing cap of the naive state sum (default 24: 2^24 states, about 15 s)"
 
@@ -447,7 +398,10 @@ def _build_parser() -> _Parser:
     )
     p.add_argument("--strands", type=int, required=True)
     p.add_argument(
-        "--indices", required=True, help="generator index sequence, e.g. 1,2,1,2"
+        "--indices",
+        required=True,
+        help=f"generator index sequence, e.g. 1,2,1,2; at most {CORNER_CAP} "
+        f"indices (2^{CORNER_CAP} corner seeds)",
     )
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--coeff", help="one exponent tuple, e.g. 2,1,2,1")
@@ -472,7 +426,12 @@ def _build_parser() -> _Parser:
         "audit", parents=[common], help="syllable-count degree bound checks"
     )
     p.add_argument("--exps", help="one exponent vector, e.g. 3,1,3,1")
-    p.add_argument("--pairs", type=int, help="sweep words with this many pairs")
+    p.add_argument(
+        "--pairs",
+        type=int,
+        help="sweep words with this many pairs: (max-exp + 1)^(2 pairs) words, "
+        f"or --samples of them; at most {AUDIT_CAP} exponents in all",
+    )
     p.add_argument("--max-exp", type=int, default=4)
     p.add_argument("--samples", type=int, help="sample instead of exhausting")
     p.add_argument("--seed", type=int, default=0)
@@ -481,7 +440,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "tables", parents=[common], help="leading-term census of {0,1} words"
     )
-    p.add_argument("--pairs", type=int, required=True)
+    # analysis.CENSUS_PAIRS_CAP; analysis loads only when a census runs
+    p.add_argument(
+        "--pairs", type=int, required=True, help="syllable pairs, at most 8 (4^8 bit vectors)"
+    )
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser(

@@ -62,6 +62,9 @@ _S2P1 = LaurentPoly({2: 1, 0: 1})  # s^2 + 1, the expansion denominator
 # Catalan(12): the live matchings of a 12-strand transfer, the size the
 # oracle's default strand cap admits
 TRANSFER_CAP = 208_012
+# Syllables of a generating function: build() evaluates 2^k corner seeds, one
+# jones call each; 2^12 seeds on 3 strands took 0.3 s on a 2-vCPU host, 2^14 1.1 s
+CORNER_CAP = 12
 # Bits one packed transfer state may reach: 40 times the 0.8 Mbit of the
 # quartic x1^3000 x2^3000 x1^3000 x2^3000, and far below what exhausts memory
 PACKED_BITS_CAP = 1 << 25
@@ -536,8 +539,13 @@ def _unpack(packed: int, width: int, low: int, sign: int) -> LaurentPoly:
     signed limb up to 64 bits, else as 64-bit limbs, the top one signed,
     joined by map. A 5-, 6- or 7-byte digit is first widened to an 8-byte
     slot: its bytes by strided copies, and above them its top byte's sign,
-    spread by one ``bytes.translate``.
+    spread by one ``bytes.translate``. Zero digits at the low end are shifted
+    off first; the digits and a range of their exponents then go to the
+    ring's trusted constructor as they are, with no dict.
     """
+    # most values start with a zero digit or two, which would cost a compress
+    zeros = ((packed & -packed).bit_length() - 1) // width if packed else 0
+    packed, low = packed >> zeros * width, low + 2 * zeros
     count = packed.bit_length() // width + 1
     size = width // 8
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
@@ -559,14 +567,13 @@ def _unpack(packed: int, width: int, low: int, sign: int) -> LaurentPoly:
     view = memoryview(raw)
     fmt = "bhiq"[limb.bit_length() - 1]
     order = 1 if little else -1  # least significant limb first
-    # a list, since compress reads every digit twice
+    # a list, which the value keeps; the constructor reads it up to three times
     digits = view.cast(fmt)[::order][per - 1 :: per].tolist()
     lows = view.cast(fmt.upper())[::order]
     for j in range(per - 2, -1, -1):
         high = map(int.__lshift__, digits, itertools.repeat(64))
         digits = list(map(int.__add__, high, lows[j::per]))
-    exps = range(low, low + 2 * count, 2)
-    return LaurentPoly._make(dict(itertools.compress(zip(exps, digits), digits)))
+    return LaurentPoly._make(range(low, low + 2 * count, 2), digits)
 
 
 class FamilySweep:
@@ -639,6 +646,8 @@ class GeneratingFunction(NamedTuple):
         indices = tuple(indices)
         if not indices:
             raise ValueError("need at least one syllable index")
+        if len(indices) > CORNER_CAP:
+            raise CapExceeded(f"2^{len(indices)} corner seeds exceed the cap of 2^{CORNER_CAP}")
         seeds: dict[tuple[int, ...], LaurentPoly] = {}
         for bits in itertools.product((0, 1), repeat=len(indices)):
             word = BraidWord(

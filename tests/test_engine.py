@@ -330,7 +330,8 @@ class TestUnpack:
         # no digit zero, the top one positive: no digit to drop
         dense = [rng.choice((1, -1)) * rng.randint(1, top) for _ in range(200)]
         dense += [-top, top, -1, 1, top]
-        for digits in (edges + [1], edges + [-1], edges + noise + [-top], [top], dense):
+        # [0] packs to 0, which has no lowest set bit to count zero digits by
+        for digits in (edges + [1], edges + [-1], edges + noise + [-top], [top], dense, [0]):
             packed = sum(d << width * i for i, d in enumerate(digits))
             for low, sign in ((-7, 1), (4, -1)):
                 expected = LaurentPoly(

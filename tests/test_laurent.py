@@ -86,7 +86,7 @@ class TestArithmetic:
 
     def test_shift_and_inverse_variable(self):
         p = LaurentPoly({2: 1, -1: -3})
-        assert p.shifted(2) == LaurentPoly({4: 1, 1: -3})
+        assert p * LaurentPoly.monomial(2) == LaurentPoly({4: 1, 1: -3})
         assert p.inverse_variable() == LaurentPoly({-2: 1, 1: -3})
         assert p.inverse_variable().inverse_variable() == p
 
@@ -107,7 +107,7 @@ class TestExactDivision:
 
     def test_laurent_units_divide(self):
         p = LaurentPoly({1: 3, -2: 5})
-        assert p.exact_div(LaurentPoly.monomial(-1)) == p.shifted(1)
+        assert p.exact_div(LaurentPoly.monomial(-1)) == p * LaurentPoly.monomial(1)
 
     def test_non_divisible_raises(self):
         with pytest.raises(NotDivisible):
@@ -236,3 +236,40 @@ class TestProperties:
         assert p.order <= p.degree
         assert p.coefficient(p.degree) == p.leading
         assert p.coefficient(p.order) == p.trailing
+
+
+def gapped_polys():
+    """Zero, monomials, and small polynomials with exponents 10^12 apart."""
+    exps = st.one_of(st.integers(-4, 4), st.sampled_from([-(10**12), 10**12, 2 * 10**12]))
+    coeffs = st.integers(-9, 9)
+    return st.one_of(
+        st.just(ZERO),
+        st.builds(LaurentPoly.monomial, exps, coeffs),
+        st.lists(st.tuples(exps, coeffs), max_size=6).map(LaurentPoly),
+    )
+
+
+def assert_canonical(r: LaurentPoly) -> None:
+    """Exponents strictly ascend, no coefficient is zero, and the hash is that
+    of the sorted (exponent, coefficient) items, which set orders rest on."""
+    terms = list(r.terms())
+    exps = [e for e, _ in terms]
+    assert exps == sorted(set(exps), reverse=True)
+    assert all(c for _, c in terms) and len(r) == len(terms)
+    assert r == LaurentPoly(dict(terms))
+    assert hash(r) == hash(tuple(sorted(terms)))
+    if terms:
+        assert (r.degree, r.leading, r.order, r.trailing) == (*terms[0], *terms[-1])
+
+
+class TestLayout:
+    @given(gapped_polys(), gapped_polys(), st.integers(0, 3))
+    def test_every_result_is_canonical(self, p, q, n):
+        results = [p + q, p - q, p - p, -p, p * q, p**n, p.inverse_variable()]
+        results.append(LaurentPoly.parse(p.text()))
+        if q:
+            results.append((p * q).exact_div(q))
+        if len(q) == 1 and abs(q.leading) == 1:
+            results.append(q**-n)
+        for r in results:
+            assert_canonical(r)

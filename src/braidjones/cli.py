@@ -100,6 +100,9 @@ def _cmd_jones(args: argparse.Namespace) -> int:
 def _cmd_family(args: argparse.Namespace) -> int:
     family = parse_family(args.family)
     lo, hi = _parse_range(args.range)
+    # a value costs about its exponent's size; jones refuses one exponent
+    if hi > lo and (hi - lo + 1) * (max(-lo, hi) + 1) > RANGE_CAP:
+        raise CapExceeded(f"range {args.range} exceeds the cap of {RANGE_CAP}")
     # each value is printed and dropped: a wide range holds one at a time
     values = FamilySweep(family).values(lo, hi)
     for e, value in zip(range(lo, hi + 1), values):
@@ -109,6 +112,10 @@ def _cmd_family(args: argparse.Namespace) -> int:
 
 def _cmd_genfun(args: argparse.Namespace) -> int:
     indices = _parse_ints(args.indices)
+    k, upto = len(indices), args.upto
+    # (M+1)^(k+1) 2^k; build() refuses more than CORNER_CAP indices itself
+    if upto is not None and k <= CORNER_CAP and max(upto + 1, 0) ** (k + 1) << k > GRID_CAP:
+        raise CapExceeded(f"--upto {upto} on {k} indices exceeds the cap of {GRID_CAP}")
     gf = GeneratingFunction.build(args.strands, indices)
     if args.coeff is not None:
         exps = _parse_ints(args.coeff)
@@ -193,7 +200,8 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         words = max(args.max_exp + 1, 0) ** min(max(width, 0), AUDIT_CAP.bit_length())
     else:
         words = args.samples
-    if words * width > AUDIT_CAP:
+    # product() sizes its pools by the width even when no word is drawn
+    if max(words, 1) * width > AUDIT_CAP:
         raise CapExceeded(f"{words} words of {width} exponents exceed the cap of {AUDIT_CAP}")
     rng = random.Random(args.seed)
     vectors: Iterable[tuple[int, ...]] = (
@@ -272,14 +280,13 @@ def _power_of_two(exp: int) -> tuple[str, int | str]:
     """Text and JSON forms of the count 2^exp.
 
     Python (3.10.7 and 3.11 on) converts an int of at most 4,300 decimal
-    digits to text by default, so above that limit both forms state the
-    count as "2^exp" alone.
+    digits to text by default, and 2^14284 is the last such power of two,
+    so above it both forms state the count as "2^exp" alone, on any
+    interpreter and without building the power.
     """
-    count = 2**exp
-    try:
-        return f"2^{exp} = {count}", count
-    except ValueError:
+    if exp > 14_284:
         return f"2^{exp}", f"2^{exp}"
+    return f"2^{exp} = {2**exp}", 2**exp
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
@@ -357,6 +364,13 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
 # Exponents one audit reads over all its words: about 10 us each on a 2-vCPU
 # host (60 us a word of 3 pairs to 4), so 2^17 of them take about 1.3 s
 AUDIT_CAP = 1 << 17
+# Work of genfun --upto M on k indices, (M+1)^(k+1) 2^k: (M+1)^k coefficients
+# over 2^k corners, their terms growing with M. The largest grid admitted for
+# each k took at most 1 s on a 2-vCPU host; 12 indices up to 1 (2^25) took 220 s
+GRID_CAP = 1 << 18
+# Work of a family --range, (hi-lo+1)(max|e|+1): on a 2-vCPU host 0..2047
+# (2^22) of B4: x1^@ x2^3 x3^-2 x2 x1 took 2.0 s, and 0..1447 (2^21) 1.0 s
+RANGE_CAP = 1 << 21
 # the naive oracle sums 2^c states, about 0.9 us each on a 2-vCPU host
 _NAIVE_CAP = "crossing cap of the naive state sum (default 24: 2^24 states, about 15 s)"
 
@@ -388,7 +402,11 @@ def _build_parser() -> _Parser:
         "family", parents=[common], help="sweep one exponent slot of a family"
     )
     p.add_argument("family", help='family word, e.g. "B2: x1^@"')
-    p.add_argument("--range", required=True, help="inclusive sweep, e.g. -1..1")
+    p.add_argument(
+        "--range",
+        required=True,
+        help=f"inclusive sweep, e.g. -1..1; at most (hi-lo+1)(max|e|+1) = {RANGE_CAP}",
+    )
     p.set_defaults(func=_cmd_family)
 
     p = sub.add_parser(
@@ -406,7 +424,10 @@ def _build_parser() -> _Parser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--coeff", help="one exponent tuple, e.g. 2,1,2,1")
     group.add_argument(
-        "--upto", type=int, help="print every coefficient with entries in [0, M]"
+        "--upto",
+        type=int,
+        help="print every coefficient with entries in [0, M]; at most "
+        f"(M+1)^(k+1) 2^k = {GRID_CAP} for k indices",
     )
     p.set_defaults(func=_cmd_genfun)
 

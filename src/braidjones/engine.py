@@ -13,7 +13,9 @@ exponents 0 and 1 gives the single-syllable reduction
 
 with the weight pair of :func:`skein_weights`, and applying it to every
 syllable at once expands any word over the 2^k words with exponents in
-{0, 1} (:func:`expand`). The division by s^2 + 1 is always exact.
+{0, 1} (:func:`expand`). The division by s^2 + 1 is always exact. That
+expansion and :class:`GeneratingFunction` are the paper's claims, checks on
+:func:`jones`, the one evaluator, which :class:`FamilySweep` runs too.
 
 :func:`jones` evaluates a word in two stages, with no recursion and no
 call into the bracket oracle. First it splits the closure at every
@@ -62,8 +64,8 @@ _S2P1 = LaurentPoly({2: 1, 0: 1})  # s^2 + 1, the expansion denominator
 # Catalan(12): the live matchings of a 12-strand transfer, the size the
 # oracle's default strand cap admits
 TRANSFER_CAP = 208_012
-# Syllables of a generating function: build() evaluates 2^k corner seeds, one
-# jones call each; 2^12 seeds on 3 strands took 0.3 s on a 2-vCPU host, 2^14 1.1 s
+# Syllables of an expansion or a generating function, 2^k jones calls each:
+# 2^12 seeds on 3 strands took 0.3 s on a 2-vCPU host, 2^14 1.1 s
 CORNER_CAP = 12
 # Bits one packed transfer state may reach: 40 times the 0.8 Mbit of the
 # quartic x1^3000 x2^3000 x1^3000 x2^3000, and far below what exhausts memory
@@ -133,9 +135,12 @@ def expand(word: BraidWord) -> list[ExpansionTerm]:
 
     Summing weight * V(base) over the terms and dividing by (s^2+1)^k
     recovers V(word) exactly; terms whose weight vanishes (a syllable with
-    exponent 1 sent to 0) are dropped.
+    exponent 1 sent to 0) are dropped. Raises CapExceeded, before any
+    term, above ``CORNER_CAP`` syllables.
     """
     syls = word.syllables
+    if len(syls) > CORNER_CAP:
+        raise CapExceeded(f"2^{len(syls)} expansion terms exceed the cap of 2^{CORNER_CAP}")
     pairs = [skein_weights(s.exp) for s in syls]
     terms: list[ExpansionTerm] = []
     for bits in itertools.product((0, 1), repeat=len(syls)):
@@ -176,8 +181,9 @@ def jones(word: BraidWord) -> LaurentPoly:
     Exact over the integers in the variable s. One digit width serves the
     whole call: each cut part and twist is evaluated packed at that width,
     the packed values are multiplied as integers, and the product's digits
-    are read once; nothing is cached. Raises CapExceeded when a transfer
-    would hold more than ``TRANSFER_CAP`` matchings at once, a packed state
+    are read once; nothing is cached. Raises CapExceeded when the strand
+    count n has n^2 over ``PACKED_BITS_CAP``, when a transfer would hold
+    more than ``TRANSFER_CAP`` matchings at once, a packed state
     more than ``PACKED_BITS_CAP`` bits, or its live states more than
     ``LIVE_BITS_CAP`` bits together.
     """
@@ -193,6 +199,9 @@ def jones(word: BraidWord) -> LaurentPoly:
 
 def _factors(word: BraidWord) -> tuple[int, list[tuple[int, Syllables, int]]]:
     """Digit width and (strands, part, count) factors of ``word``'s value."""
+    # the bound's 2^(n-1) takes each digit past n bits, and an unlink has n
+    if word.strands**2 > PACKED_BITS_CAP:
+        raise CapExceeded(f"{word.strands}^2 bits exceed the cap of {PACKED_BITS_CAP} bits")
     # one digit width for every part and twist: only the product is read
     # back, and its digits are the coefficients of this word's value
     syls = reduce_cyclic((s.gen, s.exp) for s in word.syllables)
@@ -209,9 +218,7 @@ def _factors(word: BraidWord) -> tuple[int, list[tuple[int, Syllables, int]]]:
 def _admit(word: BraidWord) -> None:
     """Raise CapExceeded where :func:`jones` would, at a part's packed span.
 
-    The closed forms call it before any arithmetic, so they admit what
-    :func:`jones` admits; :func:`jones` itself checks each part in
-    :func:`_transfer`.
+    :meth:`GeneratingFunction.coefficient` calls it before any arithmetic.
     """
     width, factors = _factors(word)
     for strands, part, _ in factors:
@@ -579,33 +586,20 @@ def _unpack(packed: int, width: int, low: int, sign: int) -> LaurentPoly:
 class FamilySweep:
     """Jones values of a one-slot family at any slot exponent.
 
-    Evaluates the word at slot exponents 0 and 1 once, by :func:`jones`, on
-    first use. Every other value, negative exponents included, is the
-    closed-form expansion V(e) = (S_0[e] V(0) + S_1[e] V(1)) / D of
-    :func:`general_term`, so it costs time and memory in proportion to its
-    own size, not to e. Each value asked for by :meth:`value` is kept for
-    repeated lookups; :meth:`values` keeps none.
+    Each value is :func:`jones` of the family's word at that exponent: it
+    costs what that one word costs and is refused where that word is.
+    :meth:`value` keeps each value for repeated lookups; :meth:`values`
+    keeps none.
     """
 
     def __init__(self, family: ExponentFamily):
         self.family = family
         self._values: dict[int, LaurentPoly] = {}
-        self._seeds: dict[tuple[int], LaurentPoly] = {}
-
-    def _seed_values(self) -> dict[tuple[int], LaurentPoly]:
-        seeds = self._seeds
-        if not seeds:
-            for exp in (0, 1):
-                v = jones(self.family.instantiate(exp))
-                self._values[exp] = seeds[exp,] = v
-        return seeds
 
     def value(self, exp: int) -> LaurentPoly:
-        seeds = self._seed_values()
         v = self._values.get(exp)
         if v is None:
-            _admit(self.family.instantiate(exp))
-            v = self._values[exp] = general_term(SKEIN_SPEC, seeds, (exp,))
+            v = self._values[exp] = jones(self.family.instantiate(exp))
         return v
 
     def __getitem__(self, exp: int) -> LaurentPoly:
@@ -613,10 +607,8 @@ class FamilySweep:
 
     def values(self, lo: int, hi: int) -> Iterator[LaurentPoly]:
         """Values on the inclusive range [lo, hi], in order, none kept."""
-        seeds = self._seed_values()
         for exp in range(lo, hi + 1):
-            _admit(self.family.instantiate(exp))
-            yield general_term(SKEIN_SPEC, seeds, (exp,))
+            yield jones(self.family.instantiate(exp))
 
 
 class GeneratingFunction(NamedTuple):

@@ -5,11 +5,13 @@ import ast
 import inspect
 import random
 import textwrap
+import time
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from braidjones import bracket
 from braidjones.bracket import (
     DELTA,
     CapExceeded,
@@ -162,6 +164,17 @@ class TestCaps:
     def test_tl_cap(self):
         with pytest.raises(CapExceeded):
             bracket_tl(parse_braid("B13: x1"), max_strands=12)
+
+    @pytest.mark.parametrize("max_strands", [12, 0])
+    def test_size_cap_before_any_letter(self, max_strands):
+        # 10^12 letters would take either route days: refused at once
+        word = parse_braid("B3: x1^1000000000000 x2 x1")
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=f"cap of {bracket.SIZE_CAP}"):
+            jones_via_bracket(word, max_crossings=10**13, max_strands=max_strands)
+        with pytest.raises(CapExceeded, match="naive cap of 24"):
+            bracket_naive(word)
+        assert time.perf_counter() - start < 0.1
 
     def test_route_selection_respects_strand_cap(self):
         # forcing max_strands below the braid width falls back to the

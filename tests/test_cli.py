@@ -2,16 +2,20 @@
 from __future__ import annotations
 
 import contextlib
+import io
 import json
 import os
 import random
 import resource
+import signal
 import subprocess
 import sys
 import time
 import tracemalloc
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import braidjones
 from braidjones import analysis, cli, engine
@@ -523,18 +527,12 @@ class TestClosedFormCaps:
         assert (code, out) == (1, "")
         assert err.startswith("braidjones: ") and f"cap of {engine.PACKED_BITS_CAP} bits" in err
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["family", "B3: x1^2 x2^@ x1^-3 x2", "--range", f"{E}..{E}"],
-            ["genfun", "--strands", "3", "--indices", "1,2", "--coeff", f"{E},3"],
-            ["classify", "B3: x1^2 x2^@ x1^-3 x2", "--at", str(E)],
-        ],
-    )
-    def test_ring_cap_exits_one(self, capsys, monkeypatch, argv):
-        # past the closed forms' span check, the division by D^k refuses to
-        # walk V(e)'s e quotient terms before it starts
+    def test_ring_cap_exits_one(self, capsys, monkeypatch):
+        # past the closed form's span check, the division by D^k refuses to
+        # walk V(e)'s e quotient terms before it starts; family and classify
+        # evaluate through jones and never reach the ring's division
         monkeypatch.setattr(engine, "_admit", lambda word: None)
+        argv = ["genfun", "--strands", "3", "--indices", "1,2", "--coeff", f"{self.E},3"]
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
@@ -559,6 +557,9 @@ class TestEnumerationCaps:
             (["audit", "--pairs", "2", "--max-exp", str(10**11)], f"cap of {cli.AUDIT_CAP}"),
             (["genfun", "--strands", "3", "--indices", ",".join("12" * 12), "--upto", "1"],
              f"cap of 2^{engine.CORNER_CAP}"),
+            (["genfun", "--strands", "3", "--indices", "1,2,1,2,1,2", "--upto", "100"],
+             f"cap of {cli.GRID_CAP}"),
+            (["family", "B2: x1^@", "--range", f"0..{10**12}"], f"cap of {cli.RANGE_CAP}"),
         ],
     )
     def test_over_cap_exits_one(self, argv, message):
@@ -582,6 +583,8 @@ class TestEnumerationCaps:
             ("tables", f"at most {analysis.CENSUS_PAIRS_CAP} (4^{analysis.CENSUS_PAIRS_CAP} bit"),
             ("audit", f"at most {cli.AUDIT_CAP} exponents"),
             ("genfun", f"at most {engine.CORNER_CAP} indices"),
+            ("genfun", f"at most (M+1)^(k+1) 2^k = {cli.GRID_CAP} for k indices"),
+            ("family", f"at most (hi-lo+1)(max|e|+1) = {cli.RANGE_CAP}"),
         ],
     )
     def test_help_states_the_cap(self, capsys, command, text):
@@ -599,6 +602,103 @@ class TestEnumerationCaps:
         assert code == 0 and records[0]["checked"] == 4
         rng = random.Random(5)
         assert seen == [tuple(rng.randint(0, 9) for _ in range(4)) for _ in range(4)]
+
+
+# An argv grammar over every subcommand: small integers and huge ones in every
+# integer slot, words and families on drawn strands, generators and exponents
+HUGE = (10**12, -(10**12), 2**64, 10**100)
+INTS = st.one_of(st.integers(-2, 8), st.sampled_from(HUGE)).map(str)
+INT_LISTS = st.lists(INTS, min_size=1, max_size=4).map(",".join)
+WORDS = st.builds(
+    "B{}: x1^{} x{}^{} x1".format,
+    st.one_of(st.sampled_from("234"), INTS),
+    INTS,
+    st.one_of(st.sampled_from("12"), INTS),
+    INTS,
+)
+FAMILIES = st.one_of(
+    st.sampled_from(("B2: x1^@", "B3: x1^2 x2^@ x1^-3 x2")),
+    st.builds("B3: x1^@ x2^{} x1^{} x2".format, INTS, INTS),
+)
+
+
+def _argv(*parts):
+    """Strategies of argv pieces, joined in order."""
+    return st.tuples(*(st.just([p]) if isinstance(p, str) else p for p in parts)).map(
+        lambda pieces: [arg for piece in pieces for arg in piece]
+    )
+
+
+def _one(values):
+    return values.map(lambda v: [v])
+
+
+def _options(**flags):
+    """Any subset of ``--flag value`` pairs, each value from its strategy."""
+    pairs = [_argv(f"--{name.replace('_', '-')}", _one(values)) for name, values in flags.items()]
+    return st.tuples(*(st.one_of(st.just([]), pair) for pair in pairs)).map(
+        lambda pieces: [arg for piece in pieces for arg in piece]
+    )
+
+
+ARGV = _argv(
+    st.one_of(
+        _argv("jones", _one(WORDS), _options(
+            engine=st.sampled_from(("recurrence", "oracle")),
+            max_naive_crossings=INTS,
+            max_strands=INTS,
+        )),
+        _argv("family", _one(FAMILIES), "--range", _one(st.builds("{}..{}".format, INTS, INTS))),
+        _argv("genfun", "--strands", _one(INTS), "--indices", _one(INT_LISTS), st.one_of(
+            _argv("--coeff", _one(INT_LISTS)), _argv("--upto", _one(INTS))
+        )),
+        _argv("classify", _one(FAMILIES), "--at", _one(INTS), _options(predict=INTS)),
+        _argv("audit", st.one_of(
+            _argv("--exps", _one(INT_LISTS)),
+            _argv("--pairs", _one(INTS), _options(max_exp=INTS, samples=INTS, seed=INTS)),
+        )),
+        _argv("tables", "--pairs", _one(INTS)),
+        _argv("units", _one(FAMILIES)),
+        _argv("bench", "--braid", _one(WORDS), _options(
+            compare=st.just("naive"), max_naive_crossings=INTS
+        )),
+        st.just(["selftest"]),
+    ),
+    st.sampled_from(([], ["--json"])),
+)
+
+
+def _overtime(signum, frame):
+    raise TimeoutError("the draw ran past 2 s")
+
+
+class TestArgvGrammar:
+    # a few ms a draw: most stop at a parse error or a cap
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(ARGV)
+    # draws that once ran past the limit or out of memory
+    @example(["family", "B2: x1^@", "--range", "0..1000000000000"])
+    @example(["audit", "--pairs", "1000000000000", "--max-exp", "-1"])
+    @example(["bench", "--braid", "B2: x1^1000000000000 x1^-1000000000000 x1"])
+    @example(["genfun", "--strands", str(2**64), "--indices", "1", "--coeff", "1"])
+    @example(["jones", "B3: x1^1000000000000 x2 x1", "--engine", "oracle"])
+    @example(["jones", "B3: x1^1000000000000 x2 x1", "--engine", "oracle", "--max-strands", "0",
+              "--max-naive-crossings", str(10**100)])
+    def test_every_draw_exits_within_two_seconds(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        previous = signal.signal(signal.SIGALRM, _overtime)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # usage errors and --help
+                    code = exc.code
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 1, 2), (argv, code)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestImportBoundary:

@@ -32,7 +32,7 @@ from braidjones.engine import (
     step_up,
     unlink_value,
 )
-from braidjones.fibonacci import s_basis
+from braidjones.fibonacci import general_term, s_basis
 from braidjones.laurent import LaurentPoly
 from .helpers import DESTABILIZATION_CHAIN, SPLIT_CHAIN, SQUARE_CHAIN, random_word
 
@@ -173,6 +173,20 @@ class TestExpansion:
     def test_expansion_equals_engine_short_and_long(self, word):
         assert expansion_value(word) == jones(word), word.text()
 
+    def test_expansion_cap_refuses_before_any_term(self, monkeypatch):
+        # 2^13 terms, each a jones call: refused before the first weight
+        def unreachable(*args):
+            raise AssertionError("an expansion term was built")
+
+        monkeypatch.setattr(engine, "skein_weights", unreachable)
+        word = parse_braid("B3: " + " ".join(f"x{1 + i % 2}^3" for i in range(13)))
+        assert len(word.syllables) == engine.CORNER_CAP + 1
+        start = time.perf_counter()
+        for route in (expand, expansion_value):
+            with pytest.raises(CapExceeded, match=f"cap of 2\\^{engine.CORNER_CAP}"):
+                route(word)
+        assert time.perf_counter() - start < 0.1
+
     def test_expansion_equals_engine_wide_digits(self):
         # coefficients near 1.6e11, packed with large mixed-sign shifts
         word = parse_braid(
@@ -233,6 +247,20 @@ class TestEngine:
         tracemalloc.start()
         try:
             with pytest.raises(CapExceeded, match=cap):
+                jones(word)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+
+    @pytest.mark.parametrize("strands", [5793, 10**12])
+    def test_many_strands_fail_fast(self, strands):
+        # n^2 bits past the cap: refused before the coefficient bound's
+        # 2^(n-1) or any table of n entries is built
+        word = BraidWord(strands, (Syllable(1, 1), Syllable(2, -1)))
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapExceeded, match=f"cap of {engine.PACKED_BITS_CAP} bits"):
                 jones(word)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -404,6 +432,11 @@ class TestPackedWidth:
             assert jones(word.canonical()) == value, word.text()
 
 
+def one_slot_seeds(fam):
+    """Corner seeds V(0) and V(1) of a one-slot family, for :func:`general_term`."""
+    return {(e,): jones(fam.instantiate(e)) for e in (0, 1)}
+
+
 class TestFamilySweep:
     def test_matches_direct_evaluation(self):
         fam = parse_family("B3: x1^@ x2 x1^3 x2")
@@ -416,7 +449,7 @@ class TestFamilySweep:
         sweep = FamilySweep(fam)
         values = list(sweep.values(-3, 4))
         assert values == [jones(fam.instantiate(e)) for e in range(-3, 5)]
-        assert sorted(sweep._values) == [0, 1]  # only the two seeds are kept
+        assert not sweep._values  # nothing is kept
 
     def test_two_sided_consistency(self):
         fam = parse_family("B3: x2^@ x1^2 x2 x1")
@@ -427,9 +460,9 @@ class TestFamilySweep:
         assert lo == jones(fam.instantiate(-5))
 
     @pytest.mark.parametrize("exp", [10**4, -(10**4)])
-    def test_large_exponent_is_one_closed_form(self, exp):
-        # no table of the exponents in between: time and memory follow the
-        # size of the one value asked for
+    def test_large_exponent_is_one_word(self, exp):
+        # one jones call on the instantiated word, no walk over the exponents
+        # in between: time and memory follow the size of the one value
         fam = parse_family("B3: x1^2 x2^@ x1^-3 x2")
         start = time.perf_counter()
         tracemalloc.start()
@@ -442,13 +475,25 @@ class TestFamilySweep:
         assert peak < 8 << 20
         assert value == jones(fam.instantiate(exp))
 
+    @pytest.mark.parametrize(
+        "text", ["B3: x1^2 x2^@ x1^-3 x2", "B3: x1^@ x2 x1^3 x2", "B4: x1^@ x2^3 x3^-2 x2 x1"]
+    )
+    def test_one_slot_expansion_formula(self, text):
+        # the paper's general term V(e) = (S_0[e] V(0) + S_1[e] V(1)) / D,
+        # negative exponents included, against the evaluator
+        fam = parse_family(text)
+        seeds = one_slot_seeds(fam)
+        for e in range(-20, 21):
+            assert general_term(SKEIN_SPEC, seeds, (e,)) == jones(fam.instantiate(e)), e
 
     def test_quotient_cap_passes_admitted_exponents(self, monkeypatch):
-        # each value is a division whose quotient has about e terms, and the
-        # ring's cap on them follows the packed bits cap: at both caps scaled
-        # down by one ratio, the largest exponent admitted still evaluates
+        # each closed-form value is a division whose quotient has about e
+        # terms, and the ring's cap on them follows the packed bits cap: at
+        # both caps scaled down by one ratio, the largest exponent admitted
+        # still evaluates
         fam = parse_family("B3: x1^@ x2 x1^3 x2")
-        assert FamilySweep(fam)[10**5] == jones(fam.instantiate(10**5))
+        seeds = one_slot_seeds(fam)
+        assert general_term(SKEIN_SPEC, seeds, (10**5,)) == jones(fam.instantiate(10**5))
         scale = engine.PACKED_BITS_CAP >> 12
         monkeypatch.setattr(engine, "PACKED_BITS_CAP", engine.PACKED_BITS_CAP // scale)
         monkeypatch.setattr(laurent, "QUOTIENT_CAP", laurent.QUOTIENT_CAP // scale)
@@ -465,7 +510,8 @@ class TestFamilySweep:
                     lo = mid
                 except CapExceeded:
                     hi = mid
-            assert FamilySweep(fam)[lo] == jones(fam.instantiate(lo)), text
+            value = general_term(SKEIN_SPEC, one_slot_seeds(fam), (lo,))
+            assert value == jones(fam.instantiate(lo)), text
 
     def test_span_cap_admits_what_jones_admits(self, monkeypatch):
         # x1^@ x2^5 cuts into two twists, so a span summed over the whole

@@ -26,13 +26,11 @@ from .braid import (
     parse_family,
 )
 from .engine import (
-    FamilySweep,
     GeneratingFunction,
     expand,
     expansion_value,
     jones,
     skein_weights,
-    square_free_value,
     step_up,
     unlink_value,
 )
@@ -45,7 +43,6 @@ __all__ = [
     "BraidWord",
     "CapExceeded",
     "ExponentFamily",
-    "FamilySweep",
     "GeneratingFunction",
     "InvariantViolation",
     "LaurentPoly",
@@ -58,7 +55,6 @@ __all__ = [
     "parse_braid",
     "parse_family",
     "skein_weights",
-    "square_free_value",
     "step_up",
     "unlink_value",
     "__version__",

@@ -8,19 +8,20 @@ the closed forms cover the two-strand torus family and the alternating
 leading-term census of alternating-syllable 3-braids; the unit scan finds
 every exponent at which a family value can equal 1, with certificates
 that the window searched is exhaustive. Each call evaluates its own words
-through :func:`~braidjones.engine.jones` or a :class:`FamilySweep` of its
-own, and keeps no value once it returns.
+through :func:`~braidjones.engine.jones`, a family's value at an exponent
+as ``jones`` of the word it stands for, and keeps no value once it returns.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import random
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .braid import BraidWord, CapExceeded, ExponentFamily, InvariantViolation, Syllable
-from .engine import FamilySweep, LOOP_VALUE, jones, step_up
+from .engine import LOOP_VALUE, jones, step_up
 from .laurent import ONE, LaurentPoly
 
 
@@ -139,12 +140,17 @@ def order_bound_check(family: ExponentFamily, e: int, m: int) -> bool:
     """
     if m < 2:
         raise ValueError("the propagation bounds start at m = 2")
-    sweep = FamilySweep(family)
-    up_floor = min(int(sweep[e].order), int(sweep[e + 1].order)) + (m - 1)
-    up_ok = int(sweep[e + m].order) >= up_floor
-    down_ceil = max(_degree(sweep[e - 1]), _degree(sweep[e])) - (m - 1)
-    down_ok = _degree(sweep[e - m]) <= down_ceil
+    value = _values(family)
+    up_floor = min(int(value(e).order), int(value(e + 1).order)) + (m - 1)
+    up_ok = int(value(e + m).order) >= up_floor
+    down_ceil = max(_degree(value(e - 1)), _degree(value(e))) - (m - 1)
+    down_ok = _degree(value(e - m)) <= down_ceil
     return up_ok and down_ok
+
+
+def _values(family: ExponentFamily) -> Callable[[int], LaurentPoly]:
+    """``jones`` of the family's word at an exponent, cached: the unit window asks twice."""
+    return functools.cache(lambda e: jones(family.instantiate(e)))
 
 
 # -- closed forms -------------------------------------------------------
@@ -492,14 +498,14 @@ _SCAN_LIMIT = 200
 
 def unit_window(family: ExponentFamily) -> UnitWindow:
     """Certified finite window containing every possible unit exponent."""
-    return _scan_window(FamilySweep(family))
+    return _scan_window(_values(family))
 
 
-def _scan_window(sweep: FamilySweep) -> UnitWindow:
+def _scan_window(value: Callable[[int], LaurentPoly]) -> UnitWindow:
     e = 0
     while True:
-        lo_ord = int(sweep[e].order)
-        hi_ord = int(sweep[e + 1].order)
+        lo_ord = int(value(e).order)
+        hi_ord = int(value(e + 1).order)
         if lo_ord >= 1 and hi_ord >= 1:
             upper = (e, lo_ord, hi_ord)
             hi = e - 1
@@ -509,8 +515,8 @@ def _scan_window(sweep: FamilySweep) -> UnitWindow:
             raise RuntimeError("order growth not reached within the scan limit")
     e = 0
     while True:
-        hi_deg = _degree(sweep[e])
-        lo_deg = _degree(sweep[e - 1])
+        hi_deg = _degree(value(e))
+        lo_deg = _degree(value(e - 1))
         if hi_deg <= -1 and lo_deg <= -1:
             lower = (e, hi_deg, lo_deg)
             lo = e + 1
@@ -528,11 +534,9 @@ def unit_search(family: ExponentFamily) -> UnitSearchResult:
     at most two unit exponents, and when there are two they differ by
     exactly 2. A violation raises InvariantViolation.
     """
-    sweep = FamilySweep(family)
-    window = _scan_window(sweep)
-    hits = tuple(
-        e for e in range(window.lo, window.hi + 1) if sweep[e] == ONE
-    )
+    value = _values(family)
+    window = _scan_window(value)
+    hits = tuple(e for e in range(window.lo, window.hi + 1) if value(e) == ONE)
     if len(hits) > 2:
         raise InvariantViolation(
             f"family {family.text()} has {len(hits)} unit values at {hits}"

@@ -3,10 +3,11 @@
 Two evaluators share one convention block: a naive sum over all ``2^c``
 crossing smoothings, and a transfer-matrix pass through the planar diagram
 algebra whose cost is polynomial in word length for fixed strand count.
-``jones_via_bracket`` applies the writhe correction and rewrites the
-bracket variable ``A`` into the skein variable ``s``. Nothing here touches
-the recurrence engine, so agreement between the two pipelines is a real
-cross-check.
+``jones_via_bracket`` runs the transfer pass up to ``TL_CAP`` strands and
+the naive sum above them; ``jones_from_bracket`` applies the writhe
+correction and rewrites the bracket variable ``A`` into the skein variable
+``s``. Nothing here touches the recurrence engine, so agreement between the
+two pipelines is a real cross-check.
 
 Convention (pinned by the unknot, Hopf link and trefoil values in the
 tests): for a letter ``x_i`` the pass-through smoothing carries weight
@@ -32,10 +33,14 @@ A = LaurentPoly.monomial(1)
 A_INV = LaurentPoly.monomial(-1)
 DELTA = LaurentPoly({2: -1, -2: -1})
 
-DEFAULT_MAX_CROSSINGS = 24
-DEFAULT_MAX_STRANDS = 12
+# Crossings of the naive sum: 2^24 states, about 0.9 us each on a 2-vCPU host
+NAIVE_CAP = 24
+# Strands of the transfer pass, whose states are at most Catalan(12) matchings
+TL_CAP = 12
 # Strands plus crossings that jones_via_bracket takes: its transfer pass, about
-# c^2, took 0.9 s at 1,000 crossings on 3 strands and 14 s at 4,000 (2 vCPUs)
+# c^2, took 0.9 s at 1,000 crossings on 3 strands and 14 s at 4,000 (2 vCPUs).
+# Keep it at 1,203 or more: the benchmark cross-checks the quartic
+# x1^300 x2^300 x1^300 x2^300 (1,200 crossings on 3 strands) through the oracle
 SIZE_CAP = 1 << 12
 
 
@@ -63,7 +68,7 @@ def _closure_loops(match: tuple[int, ...], n: int) -> int:
     return loops
 
 
-def bracket_naive(word: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) -> BracketPoly:
+def bracket_naive(word: BraidWord) -> BracketPoly:
     """Bracket of the closure by brute force over all smoothing states.
 
     One depth-first walk over the smoothing choices, letter by letter, so
@@ -85,13 +90,11 @@ def bracket_naive(word: BraidWord, max_crossings: int = DEFAULT_MAX_CROSSINGS) -
     own stack rather than recursing, so the crossing cap is the only limit
     on its depth. It shares no code with ``bracket_tl`` or the evaluator.
 
-    Exponential in the crossing count; guarded by ``max_crossings``.
+    Exponential in the crossing count; refuses more than ``NAIVE_CAP``.
     """
     c = word.crossing_count()
-    if c > max_crossings:
-        raise CapExceeded(
-            f"{c} crossings exceed the naive cap of {max_crossings} (2^{c} states)"
-        )
+    if c > NAIVE_CAP:
+        raise CapExceeded(f"{c} crossings exceed the naive cap of {NAIVE_CAP} (2^{c} states)")
     letters = list(word.letters())
     n = word.strands
     if not c:
@@ -198,17 +201,17 @@ def _identity_matching(n: int) -> tuple[int, ...]:
     return tuple(range(n, 2 * n)) + tuple(range(n))
 
 
-def bracket_tl(word: BraidWord, max_strands: int = DEFAULT_MAX_STRANDS) -> BracketPoly:
+def bracket_tl(word: BraidWord) -> BracketPoly:
     """Bracket of the closure via the planar matching transfer pass.
 
     Maintains a weighted sum of noncrossing matchings of the boundary
     (at most Catalan(strands) of them) and applies one crossing at a
     time, so the cost is linear in the crossing count for fixed strand
-    count. Guarded by ``max_strands``.
+    count. Refuses more than ``TL_CAP`` strands.
     """
     n = word.strands
-    if n > max_strands:
-        raise CapExceeded(f"{n} strands exceed the transfer cap of {max_strands}")
+    if n > TL_CAP:
+        raise CapExceeded(f"{n} strands exceed the transfer cap of {TL_CAP}")
     states: dict[tuple[int, ...], BracketPoly] = {_identity_matching(n): LaurentPoly.monomial(0)}
     for gen, direction in word.letters():
         pass_w = A_INV if direction > 0 else A
@@ -241,26 +244,27 @@ def bracket_tl(word: BraidWord, max_strands: int = DEFAULT_MAX_STRANDS) -> Brack
     return result
 
 
-def jones_via_bracket(
-    word: BraidWord,
-    max_crossings: int = DEFAULT_MAX_CROSSINGS,
-    max_strands: int = DEFAULT_MAX_STRANDS,
-) -> LaurentPoly:
+def jones_via_bracket(word: BraidWord) -> LaurentPoly:
     """Jones polynomial of the closure from the bracket alone.
 
-    Uses the transfer pass when the strand count allows it and falls back
-    to the naive sum otherwise. Applies the ``(-A)^(3 writhe)``
-    normalization and substitutes ``s = A^2``; a surviving odd power of A
-    would indicate a convention bug and raises ParityError. Raises
-    CapExceeded above ``SIZE_CAP`` strands and crossings together.
+    Uses the transfer pass up to ``TL_CAP`` strands and the naive sum above
+    them. Raises CapExceeded above ``SIZE_CAP`` strands and crossings
+    together, before either route starts.
     """
     size = word.strands + word.crossing_count()
     if size > SIZE_CAP:
         raise CapExceeded(f"{size} strands and crossings exceed the oracle's cap of {SIZE_CAP}")
-    if word.strands <= max_strands:
-        value = bracket_tl(word, max_strands)
-    else:
-        value = bracket_naive(word, max_crossings)
+    route = bracket_tl if word.strands <= TL_CAP else bracket_naive
+    return jones_from_bracket(word, route(word))
+
+
+def jones_from_bracket(word: BraidWord, value: BracketPoly) -> LaurentPoly:
+    """Jones polynomial of the closure of ``word`` from its bracket ``value``.
+
+    Applies the ``(-A)^(3 writhe)`` normalization and substitutes
+    ``s = A^2``; a surviving odd power of A would indicate a convention bug
+    and raises ParityError.
+    """
     w = word.writhe()
     value = value * LaurentPoly.monomial(3 * w, -1 if w % 2 else 1)
     out: dict[int, int] = {}

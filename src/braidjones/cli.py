@@ -26,7 +26,7 @@ import time
 from typing import Iterable, Sequence
 
 from .braid import BoundsError, CapExceeded, InvariantViolation, parse_braid, parse_family
-from .engine import CORNER_CAP, FamilySweep, GeneratingFunction, jones
+from .engine import CORNER_CAP, GeneratingFunction, jones
 from .laurent import LaurentPoly, ParseError
 
 
@@ -88,9 +88,7 @@ def _cmd_jones(args: argparse.Namespace) -> int:
     if args.engine == "oracle":
         from .bracket import jones_via_bracket
 
-        value = jones_via_bracket(
-            word, args.max_naive_crossings, args.max_strands
-        )
+        value = jones_via_bracket(word)
     else:
         value = jones(word)
     _emit(args, word.text(), value)
@@ -104,9 +102,8 @@ def _cmd_family(args: argparse.Namespace) -> int:
     if hi > lo and (hi - lo + 1) * (max(-lo, hi) + 1) > RANGE_CAP:
         raise CapExceeded(f"range {args.range} exceeds the cap of {RANGE_CAP}")
     # each value is printed and dropped: a wide range holds one at a time
-    values = FamilySweep(family).values(lo, hi)
-    for e, value in zip(range(lo, hi + 1), values):
-        _emit(args, f"{family.text()} @ {e}", value)
+    for e in range(lo, hi + 1):
+        _emit(args, f"{family.text()} @ {e}", jones(family.instantiate(e)))
     return 0
 
 
@@ -135,9 +132,8 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     from . import analysis
 
     family = parse_family(args.family)
-    sweep = FamilySweep(family)
     e = args.at
-    v_e, v_e1 = sweep[e], sweep[e + 1]
+    v_e, v_e1 = jones(family.instantiate(e)), jones(family.instantiate(e + 1))
     cls = analysis.classify_pair(v_e, v_e1)
     out: dict = {
         "input": f"{family.text()} @ {e}",
@@ -149,7 +145,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         print(f"coeff-sum: {cls.coeff_sum}")
     if args.predict is not None:
         m = args.predict
-        v_e2 = sweep[e + 2] if (
+        v_e2 = jones(family.instantiate(e + 2)) if (
             cls.kind is analysis.Stability.CRITICAL and cls.coeff_sum == 0
         ) else None
         prediction = analysis.predict_degrees(cls, v_e, v_e1, m, v_e2)
@@ -158,7 +154,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
             if not args.json:
                 print(f"prediction: critical again at {e + 1}; classify there")
         else:
-            actual = sweep[e + m]
+            actual = jones(family.instantiate(e + m))
             agree = (int(actual.degree), actual.leading) == prediction
             out["prediction"] = {"degree": prediction.degree, "leading": prediction.coeff}
             out["actual"] = {"degree": int(actual.degree), "leading": actual.leading}
@@ -312,18 +308,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         "naive_states": states,
     }
     if args.compare == "naive":
-        from .bracket import jones_via_bracket
+        from .bracket import NAIVE_CAP, bracket_naive, jones_from_bracket
 
         try:
             start = time.perf_counter()
-            # max_strands=0 forces the brute-force state sum route
-            oracle = jones_via_bracket(word, args.max_naive_crossings, 0)
+            oracle = jones_from_bracket(word, bracket_naive(word))
             oracle_elapsed = time.perf_counter() - start
         except CapExceeded:
-            lines.append(
-                f"naive: cap exceeded at c = {crossings} "
-                f"(limit {args.max_naive_crossings})"
-            )
+            lines.append(f"naive: cap exceeded at c = {crossings} (limit {NAIVE_CAP})")
             record["naive"] = "cap exceeded"
         else:
             agree = oracle == value
@@ -371,8 +363,8 @@ GRID_CAP = 1 << 18
 # Work of a family --range, (hi-lo+1)(max|e|+1): on a 2-vCPU host 0..2047
 # (2^22) of B4: x1^@ x2^3 x3^-2 x2 x1 took 2.0 s, and 0..1447 (2^21) 1.0 s
 RANGE_CAP = 1 << 21
-# the naive oracle sums 2^c states, about 0.9 us each on a 2-vCPU host
-_NAIVE_CAP = "crossing cap of the naive state sum (default 24: 2^24 states, about 15 s)"
+# restates bracket.NAIVE_CAP (0.9 us a state on a 2-vCPU host): bracket loads lazily
+_NAIVE_COST = "the naive state sum, at most 24 crossings, 2^24 states, about 15 s"
 
 
 def _build_parser() -> _Parser:
@@ -392,10 +384,9 @@ def _build_parser() -> _Parser:
         "--engine",
         choices=("recurrence", "oracle"),
         default="recurrence",
-        help="evaluation route (default recurrence)",
+        help="evaluation route (default recurrence); above 12 strands the oracle "
+        f"runs {_NAIVE_COST}",
     )
-    p.add_argument("--max-naive-crossings", type=int, default=24, help=_NAIVE_CAP)
-    p.add_argument("--max-strands", type=int, default=12)
     p.set_defaults(func=_cmd_jones)
 
     p = sub.add_parser(
@@ -479,8 +470,7 @@ def _build_parser() -> _Parser:
         help="time the expansion path and compare state-sum costs",
     )
     p.add_argument("--braid", required=True)
-    p.add_argument("--compare", choices=("naive",))
-    p.add_argument("--max-naive-crossings", type=int, default=24, help=_NAIVE_CAP)
+    p.add_argument("--compare", choices=("naive",), help=f"also run {_NAIVE_COST}")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser(
@@ -500,10 +490,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"braidjones: {exc}", file=sys.stderr)
         return 1
     except CapExceeded as exc:
-        # only the oracle has cap flags and an engine to switch to
+        # only the oracle has an engine to switch to
         hint = ""
         if getattr(args, "engine", None) == "oracle":
-            hint = " (raise the cap flag or use --engine recurrence)"
+            hint = " (use --engine recurrence)"
         print(f"braidjones: {exc}{hint}", file=sys.stderr)
         return 1
     except InvariantViolation as exc:

@@ -15,7 +15,7 @@ with the weight pair of :func:`skein_weights`, and applying it to every
 syllable at once expands any word over the 2^k words with exponents in
 {0, 1} (:func:`expand`). The division by s^2 + 1 is always exact. That
 expansion and :class:`GeneratingFunction` are the paper's claims, checks on
-:func:`jones`, the one evaluator, which :class:`FamilySweep` runs too.
+:func:`jones`, the one evaluator, which family sweeps call directly.
 
 :func:`jones` evaluates a word in two stages, with no recursion and no
 call into the bracket oracle. First it splits the closure at every
@@ -49,9 +49,9 @@ from __future__ import annotations
 
 import itertools
 import sys
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
-from .braid import BraidWord, CapExceeded, ExponentFamily, Syllable, reduce_cyclic
+from .braid import BraidWord, CapExceeded, Syllable, reduce_cyclic
 from .fibonacci import FibSpec, general_term
 from .laurent import ONE, LaurentPoly, NotDivisible
 
@@ -62,7 +62,7 @@ LOOP_VALUE = LaurentPoly({1: -1, -1: -1})  # value of one extra unknot component
 _S2P1 = LaurentPoly({2: 1, 0: 1})  # s^2 + 1, the expansion denominator
 
 # Catalan(12): the live matchings of a 12-strand transfer, the size the
-# oracle's default strand cap admits
+# oracle's strand cap admits
 TRANSFER_CAP = 208_012
 # Syllables of an expansion or a generating function, 2^k jones calls each:
 # 2^12 seeds on 3 strands took 0.3 s on a 2-vCPU host, 2^14 1.1 s
@@ -70,6 +70,10 @@ CORNER_CAP = 12
 # Bits one packed transfer state may reach: 40 times the 0.8 Mbit of the
 # quartic x1^3000 x2^3000 x1^3000 x2^3000, and far below what exhausts memory
 PACKED_BITS_CAP = 1 << 25
+# Strands of a word: the closure of x1 x2^-1 took 0.07 s on 1,024 strands,
+# 0.17 s on 1,448, 0.4-0.7 s on 2,048 and 1.7 s on 2,896 (2-vCPU host), about
+# n^3; PACKED_BITS_CAP alone would admit 5,792 strands (n^2 bits), 12.6 s
+STRAND_CAP = 1 << 11
 # Bits the live states of a transfer may reach together, counting each at
 # the packed bound of one state: 32 MiB
 LIVE_BITS_CAP = 1 << 28
@@ -109,17 +113,6 @@ def unlink_value(components: int) -> LaurentPoly:
     if components < 1:
         raise ValueError("need at least one component")
     return LOOP_VALUE ** (components - 1)
-
-
-def square_free_value(strands: int, syllable_count: int) -> LaurentPoly:
-    """Value of the closure of x_{i1} ... x_{ik} with i1 < ... < ik.
-
-    Such a closure is an unlink with strands - k components, hence
-    (-s - s^-1)^(strands - k - 1).
-    """
-    if syllable_count >= strands:
-        raise ValueError("an ascending square-free word has fewer syllables than strands")
-    return unlink_value(strands - syllable_count)
 
 
 class ExpansionTerm(NamedTuple):
@@ -181,10 +174,10 @@ def jones(word: BraidWord) -> LaurentPoly:
     Exact over the integers in the variable s. One digit width serves the
     whole call: each cut part and twist is evaluated packed at that width,
     the packed values are multiplied as integers, and the product's digits
-    are read once; nothing is cached. Raises CapExceeded when the strand
-    count n has n^2 over ``PACKED_BITS_CAP``, when a transfer would hold
-    more than ``TRANSFER_CAP`` matchings at once, a packed state
-    more than ``PACKED_BITS_CAP`` bits, or its live states more than
+    are read once; nothing is cached. Raises CapExceeded above
+    ``STRAND_CAP`` strands, and when a transfer would hold more than
+    ``TRANSFER_CAP`` matchings at once, a packed state more than
+    ``PACKED_BITS_CAP`` bits, or its live states more than
     ``LIVE_BITS_CAP`` bits together.
     """
     width, factors = _factors(word)
@@ -199,9 +192,9 @@ def jones(word: BraidWord) -> LaurentPoly:
 
 def _factors(word: BraidWord) -> tuple[int, list[tuple[int, Syllables, int]]]:
     """Digit width and (strands, part, count) factors of ``word``'s value."""
-    # the bound's 2^(n-1) takes each digit past n bits, and an unlink has n
-    if word.strands**2 > PACKED_BITS_CAP:
-        raise CapExceeded(f"{word.strands}^2 bits exceed the cap of {PACKED_BITS_CAP} bits")
+    # before the coefficient bound builds its 2^(n-1)
+    if word.strands > STRAND_CAP:
+        raise CapExceeded(f"{word.strands} strands exceed the cap of {STRAND_CAP}")
     # one digit width for every part and twist: only the product is read
     # back, and its digits are the coefficients of this word's value
     syls = reduce_cyclic((s.gen, s.exp) for s in word.syllables)
@@ -581,34 +574,6 @@ def _unpack(packed: int, width: int, low: int, sign: int) -> LaurentPoly:
         high = map(int.__lshift__, digits, itertools.repeat(64))
         digits = list(map(int.__add__, high, lows[j::per]))
     return LaurentPoly._make(range(low, low + 2 * count, 2), digits)
-
-
-class FamilySweep:
-    """Jones values of a one-slot family at any slot exponent.
-
-    Each value is :func:`jones` of the family's word at that exponent: it
-    costs what that one word costs and is refused where that word is.
-    :meth:`value` keeps each value for repeated lookups; :meth:`values`
-    keeps none.
-    """
-
-    def __init__(self, family: ExponentFamily):
-        self.family = family
-        self._values: dict[int, LaurentPoly] = {}
-
-    def value(self, exp: int) -> LaurentPoly:
-        v = self._values.get(exp)
-        if v is None:
-            v = self._values[exp] = jones(self.family.instantiate(exp))
-        return v
-
-    def __getitem__(self, exp: int) -> LaurentPoly:
-        return self.value(exp)
-
-    def values(self, lo: int, hi: int) -> Iterator[LaurentPoly]:
-        """Values on the inclusive range [lo, hi], in order, none kept."""
-        for exp in range(lo, hi + 1):
-            yield jones(self.family.instantiate(exp))
 
 
 class GeneratingFunction(NamedTuple):

@@ -21,7 +21,7 @@ from .analysis import (
 )
 from .braid import parse_braid, parse_family
 from .bracket import bracket_naive, bracket_tl, jones_via_bracket
-from .engine import GeneratingFunction, jones, square_free_value
+from .engine import GeneratingFunction, jones, unlink_value
 from .laurent import LaurentPoly
 
 
@@ -106,7 +106,7 @@ def _check_square_free() -> CheckResult:
         word = parse_braid(
             f"B{strands}: " + " ".join(f"x{i + 1}" for i in range(count))
         )
-        if square_free_value(strands, count) != jones(word):
+        if unlink_value(strands - count) != jones(word):
             bad.append(f"n={strands} k={count}")
     detail = bad[0] if bad else "6 strand/count combinations"
     return CheckResult("increasing square-free closures", not bad, detail)

@@ -26,7 +26,7 @@ from braidjones.analysis import (
     unit_window,
 )
 from braidjones.braid import parse_family
-from braidjones.engine import FamilySweep, jones, step_up
+from braidjones.engine import jones, step_up
 from braidjones.laurent import LaurentPoly
 
 V = LaurentPoly.parse
@@ -97,7 +97,7 @@ class TestPredict:
 
     def test_critical_nonzero_sum(self):
         fam = parse_family("B3: x1^@ x2 x1^2 x2")
-        sweep = FamilySweep(fam)
+        sweep = [jones(fam.instantiate(e)) for e in range(8)]
         v1, v2 = sweep[1], sweep[2]
         c = classify_pair(v1, v2)
         assert c.kind is Stability.CRITICAL
@@ -109,7 +109,7 @@ class TestPredict:
 
     def test_critical_zero_sum_needs_third_value(self):
         fam = parse_family("B3: x1^@ x2 x1^3 x2")
-        sweep = FamilySweep(fam)
+        sweep = [jones(fam.instantiate(e)) for e in range(3)]
         c = classify_pair(sweep[1], sweep[2])
         assert c.kind is Stability.CRITICAL and c.coeff_sum == 0
         with pytest.raises(ValueError):
@@ -118,14 +118,14 @@ class TestPredict:
     def test_critical_zero_sum_reclassify(self):
         # next pair critical again: the rule defers one step
         fam = parse_family("B3: x1^@ x2 x1^3 x2")
-        sweep = FamilySweep(fam)
+        sweep = [jones(fam.instantiate(e)) for e in range(4)]
         c = classify_pair(sweep[1], sweep[2])
         assert predict_degrees(c, sweep[1], sweep[2], 3, sweep[3]) is RECLASSIFY
 
     def test_critical_zero_sum_degree_drop(self):
         # V(e+2) drops in degree; from m = 3 on the degree climbs again
         fam = parse_family("B3: x1^@ x2 x1^3 x2")
-        sweep = FamilySweep(fam)
+        sweep = [jones(fam.instantiate(e)) for e in range(10)]
         c = classify_pair(sweep[2], sweep[3])
         assert c.kind is Stability.CRITICAL and c.coeff_sum == 0
         assert int(sweep[4].degree) < int(sweep[3].degree)
@@ -308,7 +308,7 @@ class TestUnits:
     def test_window_certificates(self):
         fam = parse_family("B2: x1^@")
         window = unit_window(fam)
-        sweep = FamilySweep(fam)
+        sweep = {e: jones(fam.instantiate(e)) for e in range(-10, 11)}
         e, o0, o1 = window.order_anchor
         assert (int(sweep[e].order), int(sweep[e + 1].order)) == (o0, o1)
         assert o0 >= 1 and o1 >= 1
@@ -320,36 +320,24 @@ class TestUnits:
         assert window.lo <= -1 <= 1 <= window.hi
 
     def test_violation_guards(self, monkeypatch):
-        # synthetic sweep with three unit values must trip the guard
-        class Stub:
-            def __init__(self, family):
-                pass
+        # synthetic family values with three units must trip the guard
+        def stub(e):
+            if e in (0, 2, 4):
+                return V("1")
+            return LaurentPoly.monomial(e)
 
-            def __getitem__(self, e):
-                if e in (0, 2, 4):
-                    return V("1")
-                return LaurentPoly.monomial(e)
-
-            value = __getitem__
-
-        monkeypatch.setattr(analysis, "FamilySweep", Stub)
+        monkeypatch.setattr(analysis, "_values", lambda family: stub)
         with pytest.raises(InvariantViolation):
             unit_search(parse_family("B2: x1^@"))
 
     def test_spacing_guard(self, monkeypatch):
-        class Stub:
-            def __init__(self, family):
-                pass
+        def stub(e):
+            if e in (0, 3):
+                return V("1")
+            if e in (1, 2):
+                return V("2")  # keeps the window open across the gap
+            return LaurentPoly.monomial(e)
 
-            def __getitem__(self, e):
-                if e in (0, 3):
-                    return V("1")
-                if e in (1, 2):
-                    return V("2")  # keeps the window open across the gap
-                return LaurentPoly.monomial(e)
-
-            value = __getitem__
-
-        monkeypatch.setattr(analysis, "FamilySweep", Stub)
+        monkeypatch.setattr(analysis, "_values", lambda family: stub)
         with pytest.raises(InvariantViolation):
             unit_search(parse_family("B2: x1^@"))

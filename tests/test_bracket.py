@@ -17,6 +17,7 @@ from braidjones.bracket import (
     CapExceeded,
     bracket_naive,
     bracket_tl,
+    jones_from_bracket,
     jones_via_bracket,
 )
 from braidjones.braid import BraidWord, Syllable, parse_braid
@@ -158,29 +159,35 @@ class TestInvariance:
 
 class TestCaps:
     def test_naive_cap(self):
-        with pytest.raises(CapExceeded):
-            bracket_naive(parse_braid("B2: x1^30"), max_crossings=24)
+        with pytest.raises(CapExceeded, match=f"naive cap of {bracket.NAIVE_CAP}"):
+            bracket_naive(parse_braid(f"B2: x1^{bracket.NAIVE_CAP + 1}"))
 
     def test_tl_cap(self):
-        with pytest.raises(CapExceeded):
-            bracket_tl(parse_braid("B13: x1"), max_strands=12)
+        with pytest.raises(CapExceeded, match=f"transfer cap of {bracket.TL_CAP}"):
+            bracket_tl(parse_braid(f"B{bracket.TL_CAP + 1}: x1"))
 
-    @pytest.mark.parametrize("max_strands", [12, 0])
-    def test_size_cap_before_any_letter(self, max_strands):
-        # 10^12 letters would take either route days: refused at once
-        word = parse_braid("B3: x1^1000000000000 x2 x1")
+    @pytest.mark.parametrize("strands", [12, 13])
+    def test_size_cap_before_any_letter(self, strands):
+        # 10^12 letters would take either route days: refused at once, on
+        # the transfer's side of its strand cap and on the naive sum's
+        word = parse_braid(f"B{strands}: x1^1000000000000 x2 x1")
         start = time.perf_counter()
         with pytest.raises(CapExceeded, match=f"cap of {bracket.SIZE_CAP}"):
-            jones_via_bracket(word, max_crossings=10**13, max_strands=max_strands)
+            jones_via_bracket(word)
         with pytest.raises(CapExceeded, match="naive cap of 24"):
             bracket_naive(word)
         assert time.perf_counter() - start < 0.1
 
-    def test_route_selection_respects_strand_cap(self):
-        # forcing max_strands below the braid width falls back to the
-        # naive route, which then enforces its own crossing cap
-        w = parse_braid("B2: x1^30")
-        with pytest.raises(CapExceeded):
-            jones_via_bracket(w, max_crossings=24, max_strands=0)
-        small = parse_braid("B2: x1^5")
-        assert jones_via_bracket(small, max_strands=0) == jones_via_bracket(small)
+    def test_route_selection_respects_strand_cap(self, monkeypatch):
+        # the strand count alone picks the route: the transfer pass up to
+        # TL_CAP strands, the naive sum above; the other route would raise
+        def unreachable(word):
+            raise AssertionError(f"wrong route for {word.text()}")
+
+        for strands, other in [(12, "bracket_naive"), (13, "bracket_tl")]:
+            gens = " ".join(f"x{g}" for g in range(1, strands))
+            word = parse_braid(f"B{strands}: {gens} x1^-2 x{strands - 1}")
+            expected = jones_from_bracket(word, bracket_naive(word))
+            with monkeypatch.context() as patch:
+                patch.setattr(bracket, other, unreachable)
+                assert jones_via_bracket(word) == expected, strands

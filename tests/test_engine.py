@@ -22,13 +22,11 @@ from braidjones.braid import (
 from braidjones.bracket import jones_via_bracket
 from braidjones.engine import (
     SKEIN_SPEC,
-    FamilySweep,
     GeneratingFunction,
     expand,
     expansion_value,
     jones,
     skein_weights,
-    square_free_value,
     step_up,
     unlink_value,
 )
@@ -118,14 +116,13 @@ class TestClosedForms:
             unlink_value(0)
 
     def test_square_free_values(self):
+        # x1 ... xk on n strands closes to an unlink of n - k components
         for strands in range(2, 7):
             for k in range(0, strands):
                 word = BraidWord(
                     strands, tuple(Syllable(g, 1) for g in range(1, k + 1))
                 )
-                assert jones(word) == square_free_value(strands, k)
-        with pytest.raises(ValueError):
-            square_free_value(3, 3)
+                assert jones(word) == unlink_value(strands - k)
 
 
 class TestExpansion:
@@ -253,14 +250,14 @@ class TestEngine:
             tracemalloc.stop()
         assert peak < 1 << 16
 
-    @pytest.mark.parametrize("strands", [5793, 10**12])
+    @pytest.mark.parametrize("strands", [engine.STRAND_CAP + 1, 10**12])
     def test_many_strands_fail_fast(self, strands):
-        # n^2 bits past the cap: refused before the coefficient bound's
+        # one strand past the cap: refused before the coefficient bound's
         # 2^(n-1) or any table of n entries is built
         word = BraidWord(strands, (Syllable(1, 1), Syllable(2, -1)))
         tracemalloc.start()
         try:
-            with pytest.raises(CapExceeded, match=f"cap of {engine.PACKED_BITS_CAP} bits"):
+            with pytest.raises(CapExceeded, match=f"cap of {engine.STRAND_CAP}$"):
                 jones(word)
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -438,42 +435,22 @@ def one_slot_seeds(fam):
 
 
 class TestFamilySweep:
-    def test_matches_direct_evaluation(self):
-        fam = parse_family("B3: x1^@ x2 x1^3 x2")
-        sweep = FamilySweep(fam)
-        for e in range(-4, 7):
-            assert sweep[e] == jones(fam.instantiate(e)), e
-
-    def test_values_streams_without_keeping(self):
-        fam = parse_family("B3: x1^@ x2 x1^3 x2")
-        sweep = FamilySweep(fam)
-        values = list(sweep.values(-3, 4))
-        assert values == [jones(fam.instantiate(e)) for e in range(-3, 5)]
-        assert not sweep._values  # nothing is kept
-
-    def test_two_sided_consistency(self):
-        fam = parse_family("B3: x2^@ x1^2 x2 x1")
-        sweep = FamilySweep(fam)
-        hi = sweep[5]   # extend up first
-        lo = sweep[-5]  # then down
-        assert hi == jones(fam.instantiate(5))
-        assert lo == jones(fam.instantiate(-5))
-
     @pytest.mark.parametrize("exp", [10**4, -(10**4)])
     def test_large_exponent_is_one_word(self, exp):
-        # one jones call on the instantiated word, no walk over the exponents
-        # in between: time and memory follow the size of the one value
-        fam = parse_family("B3: x1^2 x2^@ x1^-3 x2")
+        # a family value is one jones call on the instantiated word, with no
+        # walk over the exponents in between: time and memory follow the
+        # size of the one value
+        word = parse_family("B3: x1^2 x2^@ x1^-3 x2").instantiate(exp)
         start = time.perf_counter()
         tracemalloc.start()
         try:
-            value = FamilySweep(fam)[exp]
+            value = jones(word)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert time.perf_counter() - start < 5.0
         assert peak < 8 << 20
-        assert value == jones(fam.instantiate(exp))
+        assert value == jones(word.canonical())
 
     @pytest.mark.parametrize(
         "text", ["B3: x1^2 x2^@ x1^-3 x2", "B3: x1^@ x2 x1^3 x2", "B4: x1^@ x2^3 x3^-2 x2 x1"]
@@ -526,17 +503,12 @@ class TestFamilySweep:
             return True
 
         gf = GeneratingFunction.build(3, (1, 2))
+        fam = parse_family("B3: x1^@ x2^5")
         seen = set()
-        for text in ("B3: x1^@ x2 x1^3 x2", "B3: x1^@ x2^5"):
-            fam = parse_family(text)
-            sweep = FamilySweep(fam)
-            for e in range(-25, 26):
-                admitted = admits(jones, fam.instantiate(e))
-                assert admits(sweep.value, e) == admitted, (text, e)
-                assert admits(list, sweep.values(e, e)) == admitted, (text, e)
-                if text.endswith("x2^5") and e >= 0:
-                    assert admits(gf.coefficient, (e, 5)) == admitted, e
-                seen.add(admitted)
+        for e in range(26):
+            admitted = admits(jones, fam.instantiate(e))
+            assert admits(gf.coefficient, (e, 5)) == admitted, e
+            seen.add(admitted)
         assert seen == {True, False}
 
 

@@ -512,7 +512,7 @@ def _scan_window(value: Callable[[int], LaurentPoly]) -> UnitWindow:
             break
         e += 1
         if e > _SCAN_LIMIT:
-            raise RuntimeError("order growth not reached within the scan limit")
+            raise CapExceeded(f"order growth not reached within _SCAN_LIMIT = {_SCAN_LIMIT}")
     e = 0
     while True:
         hi_deg = _degree(value(e))
@@ -523,7 +523,7 @@ def _scan_window(value: Callable[[int], LaurentPoly]) -> UnitWindow:
             break
         e -= 1
         if e < -_SCAN_LIMIT:
-            raise RuntimeError("degree decay not reached within the scan limit")
+            raise CapExceeded(f"degree decay not reached within _SCAN_LIMIT = {_SCAN_LIMIT}")
     return UnitWindow(lo=lo, hi=hi, order_anchor=upper, degree_anchor=lower)
 
 

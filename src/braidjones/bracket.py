@@ -21,10 +21,8 @@ those fixtures.
 
 from __future__ import annotations
 
-from functools import cache
-
 from .braid import BraidWord, CapExceeded
-from .laurent import LaurentPoly
+from .laurent import ZERO, LaurentPoly
 
 # Laurent polynomials in the smoothing variable A
 BracketPoly = LaurentPoly
@@ -37,8 +35,8 @@ DELTA = LaurentPoly({2: -1, -2: -1})
 NAIVE_CAP = 24
 # Strands of the transfer pass, whose states are at most Catalan(12) matchings
 TL_CAP = 12
-# Strands plus crossings that jones_via_bracket takes: its transfer pass, about
-# c^2, took 0.9 s at 1,000 crossings on 3 strands and 14 s at 4,000 (2 vCPUs).
+# Strands plus crossings the oracle takes: its transfer pass, about c^2, took
+# 0.9 s at 1,000 crossings on 3 strands and 14 s at 4,000 (2 vCPUs).
 # Keep it at 1,203 or more: the benchmark cross-checks the quartic
 # x1^300 x2^300 x1^300 x2^300 (1,200 crossings on 3 strands) through the oracle
 SIZE_CAP = 1 << 12
@@ -48,9 +46,18 @@ class ParityError(ArithmeticError):
     """A bracket value had odd powers of A left after normalization."""
 
 
-@cache
 def _delta_power(n: int) -> BracketPoly:
-    return DELTA**n
+    """DELTA^n = (-1)^n sum_k C(n, k) A^(4k - 2n), by the binomial theorem."""
+    cs = [-1 if n % 2 else 1]
+    for k in range(n):
+        cs.append(cs[-1] * (n - k) // (k + 1))
+    return LaurentPoly._make(range(-2 * n, 2 * n + 1, 4), cs)
+
+
+def _check_size(word: BraidWord) -> None:
+    size = word.strands + word.crossing_count()
+    if size > SIZE_CAP:
+        raise CapExceeded(f"{size} strands and crossings exceed the oracle's cap of {SIZE_CAP}")
 
 
 def _closure_loops(match: tuple[int, ...], n: int) -> int:
@@ -90,11 +97,13 @@ def bracket_naive(word: BraidWord) -> BracketPoly:
     own stack rather than recursing, so the crossing cap is the only limit
     on its depth. It shares no code with ``bracket_tl`` or the evaluator.
 
-    Exponential in the crossing count; refuses more than ``NAIVE_CAP``.
+    Exponential in the crossing count; refuses more than ``NAIVE_CAP``
+    crossings, then more than ``SIZE_CAP`` strands and crossings together.
     """
     c = word.crossing_count()
     if c > NAIVE_CAP:
         raise CapExceeded(f"{c} crossings exceed the naive cap of {NAIVE_CAP} (2^{c} states)")
+    _check_size(word)
     letters = list(word.letters())
     n = word.strands
     if not c:
@@ -188,11 +197,13 @@ def bracket_naive(word: BraidWord) -> BracketPoly:
                 loops -= 1
         d += 1
         step[d] = 0
-    result = LaurentPoly()
-    for key, count in enumerate(tally):
-        if count:
-            row, loops = divmod(key, stride)
-            result = result + LaurentPoly.monomial(row - c, count) * _delta_power(loops - 1)
+    # one delta power per loop count, over that count's column of the tally
+    result = ZERO
+    for loops in range(1, stride):
+        column = tally[loops::stride]
+        if any(column):
+            by_a = LaurentPoly._make(range(-c, c + 1), column)
+            result = result + by_a * _delta_power(loops - 1)
     return result
 
 
@@ -238,10 +249,11 @@ def bracket_tl(word: BraidWord) -> BracketPoly:
                 rewired[p], rewired[q] = q, p
                 bump(tuple(rewired), coeff * cap_w)
         states = nxt
-    result = LaurentPoly({0: 0})
+    by_loops: dict[int, BracketPoly] = {}
     for match, coeff in states.items():
-        result = result + coeff * _delta_power(_closure_loops(match, n) - 1)
-    return result
+        loops = _closure_loops(match, n)
+        by_loops[loops] = by_loops.get(loops, ZERO) + coeff
+    return sum((c * _delta_power(loops - 1) for loops, c in by_loops.items()), ZERO)
 
 
 def jones_via_bracket(word: BraidWord) -> LaurentPoly:
@@ -251,9 +263,7 @@ def jones_via_bracket(word: BraidWord) -> LaurentPoly:
     them. Raises CapExceeded above ``SIZE_CAP`` strands and crossings
     together, before either route starts.
     """
-    size = word.strands + word.crossing_count()
-    if size > SIZE_CAP:
-        raise CapExceeded(f"{size} strands and crossings exceed the oracle's cap of {SIZE_CAP}")
+    _check_size(word)
     route = bracket_tl if word.strands <= TL_CAP else bracket_naive
     return jones_from_bracket(word, route(word))
 

@@ -175,23 +175,28 @@ def jones(word: BraidWord) -> LaurentPoly:
     whole call: each cut part and twist is evaluated packed at that width,
     the packed values are multiplied as integers, and the product's digits
     are read once; nothing is cached. Raises CapExceeded above
-    ``STRAND_CAP`` strands, and when a transfer would hold more than
-    ``TRANSFER_CAP`` matchings at once, a packed state more than
-    ``PACKED_BITS_CAP`` bits, or its live states more than
-    ``LIVE_BITS_CAP`` bits together.
+    ``STRAND_CAP`` strands or when a packed state of a part or twist could
+    exceed ``PACKED_BITS_CAP`` bits, both before any transfer runs, and
+    when a transfer would hold more than ``TRANSFER_CAP`` matchings at once
+    or its live states more than ``LIVE_BITS_CAP`` bits together.
     """
     width, factors = _factors(word)
     packed, low, sign = 1, 0, 1
-    for strands, part, count in factors:
-        quot, part_low, part_sign = _transfer(strands, part, width)
+    for strands, part, count, span in factors:
+        quot, part_low, part_sign = _transfer(strands, part, width, span)
         packed *= quot**count
         low += part_low * count
         sign *= part_sign**count
     return _unpack(packed, width, low, sign)
 
 
-def _factors(word: BraidWord) -> tuple[int, list[tuple[int, Syllables, int]]]:
-    """Digit width and (strands, part, count) factors of ``word``'s value."""
+def _factors(word: BraidWord) -> tuple[int, list[tuple[int, Syllables, int, int]]]:
+    """Digit width and (strands, part, count, span) factors of ``word``'s value.
+
+    The evaluator's one admission: CapExceeded above ``STRAND_CAP``
+    strands, or where ``span``, the bits one packed state may reach,
+    exceeds ``PACKED_BITS_CAP``, before any transfer runs.
+    """
     # before the coefficient bound builds its 2^(n-1)
     if word.strands > STRAND_CAP:
         raise CapExceeded(f"{word.strands} strands exceed the cap of {STRAND_CAP}")
@@ -202,33 +207,19 @@ def _factors(word: BraidWord) -> tuple[int, list[tuple[int, Syllables, int]]]:
     twists: dict[int, int] = {}  # exponent of a lone generator -> count
     factors = [(n, part, 1) for n, part in _split_lone(word.strands, syls, twists)]
     # the torus links T(2, exp); the unknot's value is 1
-    for exp, count in twists.items():
-        if exp not in (1, -1):
-            factors.append((2, [(1, exp)], count))
-    return width, factors
-
-
-def _admit(word: BraidWord) -> None:
-    """Raise CapExceeded where :func:`jones` would, at a part's packed span.
-
-    :meth:`GeneratingFunction.coefficient` calls it before any arithmetic.
-    """
-    width, factors = _factors(word)
-    for strands, part, _ in factors:
-        _packed_span(strands, part, width)
-
-
-def _packed_span(strands: int, syls: Syllables, width: int) -> int:
-    """Bits one packed transfer state may reach; CapExceeded above ``PACKED_BITS_CAP``."""
-    # a syllable raises a state's degree in u by at most |a| + 1, the closure
-    # by at most n
-    span = width * (strands + sum(abs(a) + 1 for _, a in syls))
-    if span > PACKED_BITS_CAP:
-        raise CapExceeded(
-            f"a packed transfer state of up to {span} bits exceeds "
-            f"the cap of {PACKED_BITS_CAP} bits"
-        )
-    return span
+    factors += [(2, [(1, exp)], count) for exp, count in twists.items() if exp not in (1, -1)]
+    spanned = []
+    for strands, part, count in factors:
+        # a syllable raises a state's degree in u by at most |a| + 1, the
+        # closure by at most n
+        span = width * (strands + sum(abs(a) + 1 for _, a in part))
+        if span > PACKED_BITS_CAP:
+            raise CapExceeded(
+                f"a packed transfer state of up to {span} bits exceeds "
+                f"the cap of {PACKED_BITS_CAP} bits"
+            )
+        spanned.append((strands, part, count, span))
+    return width, spanned
 
 
 def _split_lone(
@@ -417,15 +408,16 @@ def _coefficient_bound(strands: int, exps: Iterable[int]) -> int:
     return total << (strands - 1)
 
 
-def _transfer(strands: int, syls: Syllables, width: int) -> tuple[int, int, int]:
+def _transfer(strands: int, syls: Syllables, width: int, span: int) -> tuple[int, int, int]:
     """Jones value of a closure by the syllable-level transfer, packed.
 
     Returns (quotient, low, sign): the value is sign times the polynomial
     whose coefficient at s^(low + 2i) is digit i of quotient in base
-    2^width, the form that :func:`_unpack` reads; ``width`` comes from
-    :func:`_width`. States map matchings to polynomials in s. An e_g move
-    that opens no loop is a saddle on the closure, so it changes the
-    closure's loop count by exactly one; the state of matching m is
+    2^width, the form that :func:`_unpack` reads; ``width`` and ``span``,
+    the bits one packed state may reach, come from :func:`_factors`. States
+    map matchings to polynomials in s. An e_g move that opens no loop is a
+    saddle on the closure, so it changes the closure's loop count by
+    exactly one; the state of matching m is
     therefore s^odd(m) C(u) in u = s^2, with odd(m) = (loops(m) + n) mod 2,
     and C is packed into one int as its value at u = 2^width. Every state
     carries the common power s^shift and the factor (u + 1)^j after j long
@@ -445,12 +437,10 @@ def _transfer(strands: int, syls: Syllables, width: int) -> tuple[int, int, int]
     (-A)^(3w) the A^-w taken out becomes (-1)^w s^w. The closure weighs
     each matching by delta^(loops - 1) with delta = -s - s^-1, and one
     exact division removes (u + 1)^kept, kept the number of long
-    syllables. Raises CapExceeded, before any packing, when one packed
-    state could exceed ``PACKED_BITS_CAP`` bits, and after a syllable when
-    its live states at that bound could exceed ``LIVE_BITS_CAP`` bits
-    together.
+    syllables. Raises CapExceeded after a syllable when its live states
+    are more than ``TRANSFER_CAP``, or at ``span`` bits each could exceed
+    ``LIVE_BITS_CAP`` bits together.
     """
-    span = _packed_span(strands, syls, width)
     table = _matchings(strands)
     odd = table.odd
     states = {table.identity: 1}
@@ -625,5 +615,5 @@ class GeneratingFunction(NamedTuple):
             raise ValueError("exponent count does not match the index sequence")
         if any(a < 0 for a in exps):
             raise ValueError("series coefficients need nonnegative exponents")
-        _admit(BraidWord(self.strands, tuple(map(Syllable, self.indices, exps))))
+        _factors(BraidWord(self.strands, tuple(map(Syllable, self.indices, exps))))
         return general_term(SKEIN_SPEC, self.seeds, exps)

@@ -19,18 +19,18 @@ The Taylor coefficient of ``Q_j(t) / q(t)`` at t^n is exactly S_j[n] / D,
 so a series coefficient is the closed-form entry above: :func:`general_term`
 serves both, at any index, with no table of earlier entries.
 
-Everything here is ring-generic over the integers or LaurentPoly; the
-division by D^p is always exact, since every basis entry is a multiple of D.
-Negative indices are supported when both roots are invertible (for
-integers that means 1 or -1, for Laurent polynomials unit monomials).
+Everything here is exact in LaurentPoly, an integer root taken as a
+constant; the division by D^p is always exact, since every basis entry is a
+multiple of D. Negative indices need both roots invertible: unit monomials
+(for an integer root, 1 or -1).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .laurent import LaurentPoly, NotDivisible
+from .laurent import LaurentPoly
 
 Ring = LaurentPoly | int
 
@@ -39,69 +39,46 @@ class NonInvertibleRoot(ArithmeticError):
     """A negative index needs an inverse the root does not have."""
 
 
-def _power(x: Ring, n: int) -> Ring:
-    if n >= 0:
-        return x**n
-    if isinstance(x, int):
-        if x in (1, -1):
-            return x ** (-n % 2) if x == -1 else 1
-        raise NonInvertibleRoot(f"{x} has no integer inverse")
+def _power(x: Ring, n: int) -> LaurentPoly:
     try:
-        return x**n
+        return LaurentPoly._coerce(x) ** n  # an integer root as a constant
     except ValueError as exc:
         raise NonInvertibleRoot(str(exc)) from exc
 
 
-def _exact_div(num: Ring, den: Ring) -> Ring:
-    if isinstance(num, LaurentPoly):
-        return num.exact_div(den)
-    if isinstance(den, LaurentPoly):
-        return LaurentPoly.monomial(0, num).exact_div(den)
-    q, r = divmod(num, den)
-    if r:
-        raise NotDivisible(f"{num} is not a multiple of {den}")
-    return q
+class _FibSpecFields(NamedTuple):
+    r1: Ring
+    r2: Ring
 
 
-class FibSpec:
-    """A two-term recurrence given by its distinct characteristic roots.
+class FibSpec(_FibSpecFields):
+    """A two-term recurrence given by its distinct characteristic roots."""
 
-    beta, gamma and diff are computed once, by the constructor. Instances
-    are immutable and compare and hash by their roots.
-    """
+    __slots__ = ()
 
-    __slots__ = ("r1", "r2", "beta", "gamma", "diff")
-
-    def __init__(self, r1: Ring, r2: Ring) -> None:
+    def __new__(cls, r1: Ring, r2: Ring) -> FibSpec:
         if r1 == r2:
             raise ValueError("characteristic roots must be distinct")
-        fields = (r1, r2, r1 + r2, -(r1 * r2), r2 - r1)
-        for name, value in zip(self.__slots__, fields):
-            object.__setattr__(self, name, value)
+        return tuple.__new__(cls, (r1, r2))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
+    @property
+    def beta(self) -> Ring:
+        return self.r1 + self.r2
 
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
+    @property
+    def gamma(self) -> Ring:
+        return -(self.r1 * self.r2)
 
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not FibSpec:
-            return NotImplemented
-        return self.r1 == other.r1 and self.r2 == other.r2
-
-    def __hash__(self) -> int:
-        return hash((self.r1, self.r2))
-
-    def __repr__(self) -> str:
-        return f"FibSpec(r1={self.r1!r}, r2={self.r2!r})"
+    @property
+    def diff(self) -> Ring:
+        return self.r2 - self.r1
 
     def step(self, prev: Ring, cur: Ring) -> Ring:
         """One forward step: the entry after (prev, cur)."""
         return self.beta * cur + self.gamma * prev
 
 
-def s_basis(spec: FibSpec, n: int) -> tuple[Ring, Ring]:
+def s_basis(spec: FibSpec, n: int) -> tuple[LaurentPoly, LaurentPoly]:
     """The expansion basis pair (S_0[n], S_1[n]) at index n.
 
     S_0 solves the recurrence with seeds (D, 0) and S_1 with seeds (0, D),
@@ -116,7 +93,7 @@ def general_term(
     spec: FibSpec,
     seeds: Mapping[tuple[int, ...], Ring],
     index: Sequence[int],
-) -> Ring:
+) -> LaurentPoly:
     """Entry of a multi-index solution from its {0,1}^p corner seeds.
 
     ``seeds`` must contain every bit vector of the same length as
@@ -134,4 +111,4 @@ def general_term(
             bits: layer[bits + (0,)] * s0 + layer[bits + (1,)] * s1
             for bits in itertools.product((0, 1), repeat=depth)
         }
-    return _exact_div(layer[()], spec.diff ** len(index))
+    return layer[()].exact_div(spec.diff ** len(index))

@@ -2,7 +2,7 @@
 
 This ring underlies every polynomial in the package. Jones values live in
 the skein variable ``s`` and bracket values in the smoothing variable ``A``;
-both share this representation and differ only in how they are printed.
+both share this representation, and text always names the variable ``s``.
 All arithmetic is exact over arbitrary precision integers, and values are
 immutable and hashable so they can key caches and group table rows.
 
@@ -48,7 +48,7 @@ POS_INFINITY = math.inf
 # more than the cap. The package divides D^k V by D^k for a word's value V,
 # so the quotient is V. A transfer part packed at width w has a state degree
 # in s^2 of at most its packed span over w, at most engine.PACKED_BITS_CAP =
-# 2^25 over w for a part that engine._admit admits, so its value spans at
+# 2^25 over w for a part that engine._factors admits, so its value spans at
 # most 2^26 / w in s. A word on n strands is cut into parts (at most n / 2:
 # each has two strands or more) and twists (one per cut, at most n - 1), and
 # V is their product, so V spans less than (3n / 2) 2^26 / w; and w > n,
@@ -82,7 +82,7 @@ class LaurentPoly:
     it, so values may share them.
     """
 
-    __slots__ = ("_exps", "_cs", "_hash")
+    __slots__ = ("_exps", "_cs")
 
     def __init__(self, coeffs: Mapping[int, int] | Iterable[tuple[int, int]] = ()):
         items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
@@ -94,7 +94,6 @@ class LaurentPoly:
         exps = sorted(acc)
         poly = LaurentPoly._make(exps, list(map(acc.__getitem__, exps)))
         self._exps, self._cs = poly._exps, poly._cs
-        self._hash: int | None = None
 
     @classmethod
     def _make(cls, exps: Iterable[int], cs: list[int]) -> LaurentPoly:
@@ -108,7 +107,6 @@ class LaurentPoly:
         else:
             obj._exps = exps if isinstance(exps, list) else list(exps)
             obj._cs = cs
-        obj._hash = None
         return obj
 
     @staticmethod
@@ -337,7 +335,7 @@ class LaurentPoly:
 
     # -- text form ----------------------------------------------------
 
-    def text(self, var: str = "s") -> str:
+    def text(self) -> str:
         """Canonical text: descending exponents, unit coefficients elided.
 
         >>> LaurentPoly({1: -1, -1: -1}).text()
@@ -354,7 +352,7 @@ class LaurentPoly:
                 body = str(mag)
             else:
                 head = "" if mag == 1 else str(mag)
-                body = head + (var if e == 1 else f"{var}^{e}")
+                body = head + ("s" if e == 1 else f"s^{e}")
             if not parts:
                 parts.append(body if c > 0 else "-" + body)
             else:
@@ -362,7 +360,7 @@ class LaurentPoly:
         return "".join(parts)
 
     @classmethod
-    def parse(cls, text: str, var: str = "s") -> LaurentPoly:
+    def parse(cls, text: str) -> LaurentPoly:
         """Parse polynomial text (the format produced by ``text``).
 
         Accepts any term order and repeated exponents; raises ParseError
@@ -391,9 +389,9 @@ class LaurentPoly:
                 i += 1
             digits = s[start:i]
             exp = 0
-            has_var = i < n and s[i : i + len(var)] == var
+            has_var = i < n and s[i] == "s"
             if has_var:
-                i += len(var)
+                i += 1
                 exp = 1
                 if i < n and s[i] == "^":
                     i += 1
@@ -427,11 +425,9 @@ class LaurentPoly:
         return self._exps == other._exps and self._cs == other._cs
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            # the hash of the ascending (exponent, coefficient) pairs: the order
-            # of a set of values, and so of what iterates it, rests on it
-            self._hash = hash(tuple(zip(self._exps, self._cs)))
-        return self._hash
+        # the hash of the ascending (exponent, coefficient) pairs: the order
+        # of a set of values, and so of what iterates it, rests on it
+        return hash(tuple(zip(self._exps, self._cs)))
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.text()!r})"

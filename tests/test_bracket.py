@@ -166,6 +166,19 @@ class TestCaps:
         with pytest.raises(CapExceeded, match=f"transfer cap of {bracket.TL_CAP}"):
             bracket_tl(parse_braid(f"B{bracket.TL_CAP + 1}: x1"))
 
+    def test_delta_powers(self):
+        for n in range(65):
+            assert bracket._delta_power(n) == DELTA**n, n
+
+    def test_many_strands_without_crossings(self):
+        # the unlink's delta^(n-1), built from its binomial coefficients
+        start = time.perf_counter()
+        value = bracket_naive(BraidWord(4000))
+        assert time.perf_counter() - start < 1.0
+        assert len(value) == 4000 and value.leading == -1
+        with pytest.raises(CapExceeded, match=f"cap of {bracket.SIZE_CAP}"):
+            bracket_naive(BraidWord(bracket.SIZE_CAP + 1))
+
     @pytest.mark.parametrize("strands", [12, 13])
     def test_size_cap_before_any_letter(self, strands):
         # 10^12 letters would take either route days: refused at once, on

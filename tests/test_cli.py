@@ -522,10 +522,10 @@ class TestClosedFormCaps:
         assert err.startswith("braidjones: ") and f"cap of {engine.PACKED_BITS_CAP} bits" in err
 
     def test_ring_cap_exits_one(self, capsys, monkeypatch):
-        # past the closed form's span check, the division by D^k refuses to
-        # walk V(e)'s e quotient terms before it starts; family and classify
-        # evaluate through jones and never reach the ring's division
-        monkeypatch.setattr(engine, "_admit", lambda word: None)
+        # with the span cap raised past the word, the division by D^k refuses
+        # to walk V(e)'s e quotient terms before it starts; family and
+        # classify evaluate through jones and never reach the ring's division
+        monkeypatch.setattr(engine, "PACKED_BITS_CAP", 1 << 64)
         argv = ["genfun", "--strands", "3", "--indices", "1,2", "--coeff", f"{self.E},3"]
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
@@ -671,6 +671,8 @@ class TestArgvGrammar:
     @example(["genfun", "--strands", str(2**64), "--indices", "1", "--coeff", "1"])
     @example(["jones", "B3: x1^1000000000000 x2 x1", "--engine", "oracle"])
     @example(["jones", "B13: x1^1000000000000 x2 x1", "--engine", "oracle"])
+    @example(["units", "B2: x1^@ x1^-1000"])
+    @example(["units", "B2: x1^@ x1^300"])
     def test_every_draw_exits_within_two_seconds(self, argv):
         out, err = io.StringIO(), io.StringIO()
         previous = signal.signal(signal.SIGALRM, _overtime)

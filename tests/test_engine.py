@@ -250,6 +250,17 @@ class TestEngine:
             tracemalloc.stop()
         assert peak < 1 << 16
 
+    def test_oversized_twist_refused_before_any_transfer(self, monkeypatch):
+        # the 3-strand part and T(2, 0) are within the cap and come first;
+        # the twist T(2, 10^12) is refused before either of them runs
+        def unreachable(*args):
+            raise AssertionError("a transfer ran on an oversized word")
+
+        monkeypatch.setattr(engine, "_transfer", unreachable)
+        word = parse_braid("B6: x1 x2 x1 x2 x1 x2 x4^1000000000000")
+        with pytest.raises(CapExceeded, match=f"cap of {engine.PACKED_BITS_CAP} bits"):
+            jones(word)
+
     @pytest.mark.parametrize("strands", [engine.STRAND_CAP + 1, 10**12])
     def test_many_strands_fail_fast(self, strands):
         # one strand past the cap: refused before the coefficient bound's
@@ -477,13 +488,13 @@ class TestFamilySweep:
         for text in ("B2: x1^@", "B3: x1^@ x2 x1^3 x2", "B4: x1^@ x2^3 x3^-2"):
             fam = parse_family(text)
             lo, hi = 1, 1 << 12  # admitted, refused
-            engine._admit(fam.instantiate(lo))
+            engine._factors(fam.instantiate(lo))
             with pytest.raises(CapExceeded):
-                engine._admit(fam.instantiate(hi))
+                engine._factors(fam.instantiate(hi))
             while hi - lo > 1:
                 mid = (lo + hi) // 2
                 try:
-                    engine._admit(fam.instantiate(mid))
+                    engine._factors(fam.instantiate(mid))
                     lo = mid
                 except CapExceeded:
                     hi = mid

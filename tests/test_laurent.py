@@ -177,9 +177,6 @@ class TestText:
     def test_render(self, poly, text):
         assert poly.text() == text
 
-    def test_variable_name(self):
-        assert LaurentPoly({2: 1}).text("A") == "A^2"
-
     @pytest.mark.parametrize(
         "text",
         ["0", "1", "-s - s^-1", "-s^8 + s^6 + s^2", "2s^12 + s^8 + s^4", "s^2+2+s^-2"],

@@ -30,7 +30,6 @@ from .engine import (
     expand,
     expansion_value,
     jones,
-    skein_weights,
     step_up,
     unlink_value,
 )
@@ -54,7 +53,6 @@ __all__ = [
     "jones",
     "parse_braid",
     "parse_family",
-    "skein_weights",
     "step_up",
     "unlink_value",
     "__version__",

@@ -4,7 +4,7 @@ Subcommands cover single evaluations (``jones``), family sweeps
 (``family``), generating-function coefficients (``genfun``), stability
 classification and degree prediction (``classify``), degree-bound audits
 (``audit``), the leading-term census (``tables``), unit exponent search
-(``units``), the expansion-vs-state-sum benchmark (``bench``), and the
+(``units``), the timing and cost-count benchmark (``bench``), and the
 built-in consistency checks (``selftest``).
 
 Exit codes: 0 on success, 1 on usage or parse errors (including cost
@@ -467,7 +467,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser(
         "bench",
         parents=[common],
-        help="time the expansion path and compare state-sum costs",
+        help="time jones and count expansion terms and naive states",
     )
     p.add_argument("--braid", required=True)
     p.add_argument("--compare", choices=("naive",), help=f"also run {_NAIVE_COST}")

@@ -9,13 +9,13 @@ satisfies the two-term recurrence
 with characteristic roots -s and s^3. Solving the recurrence against the
 exponents 0 and 1 gives the single-syllable reduction
 
-    (s^2 + 1) V(... x^a ...) = W0(a) V(... ...) + W1(a) V(... x ...)
+    (s^3 + s) V(... x^a ...) = S0(a) V(... ...) + S1(a) V(... x ...)
 
-with the weight pair of :func:`skein_weights`, and applying it to every
-syllable at once expands any word over the 2^k words with exponents in
-{0, 1} (:func:`expand`). The division by s^2 + 1 is always exact. That
-expansion and :class:`GeneratingFunction` are the paper's claims, checks on
-:func:`jones`, the one evaluator, which family sweeps call directly.
+with the basis pair ``s_basis(SKEIN_SPEC, a)``; applied to every syllable
+at once it expands any word over its 2^k corner words, exponents in {0, 1},
+which :func:`expansion_value` contracts by ``general_term`` and
+:func:`expand` lists. The division is always exact. That expansion and
+:class:`GeneratingFunction` are the paper's claims, checks on :func:`jones`.
 
 :func:`jones` evaluates a word in two stages, with no recursion and no
 call into the bracket oracle. First it splits the closure at every
@@ -49,17 +49,16 @@ from __future__ import annotations
 
 import itertools
 import sys
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .braid import BraidWord, CapExceeded, Syllable, reduce_cyclic
-from .fibonacci import FibSpec, general_term
-from .laurent import ONE, LaurentPoly, NotDivisible
+from .fibonacci import FibSpec, general_term, s_basis
+from .laurent import LaurentPoly, NotDivisible
 
 # the recurrence in any one syllable exponent has these roots
 SKEIN_SPEC = FibSpec(r1=LaurentPoly.monomial(1, -1), r2=LaurentPoly.monomial(3))
 
 LOOP_VALUE = LaurentPoly({1: -1, -1: -1})  # value of one extra unknot component
-_S2P1 = LaurentPoly({2: 1, 0: 1})  # s^2 + 1, the expansion denominator
 
 # Catalan(12): the live matchings of a 12-strand transfer, the size the
 # oracle's strand cap admits
@@ -93,21 +92,6 @@ Syllables = list[tuple[int, int]]  # (generator, exponent) pairs
 step_up = SKEIN_SPEC.step  # V(e+2) from (V(e), V(e+1))
 
 
-def skein_weights(exp: int) -> tuple[LaurentPoly, LaurentPoly]:
-    """Weight pair (W0, W1) that reduces one exponent to 0 and 1.
-
-    W0(a) = s^(3a) + (-1)^a s^(a+2) and W1(a) = s^(3a-1) + (-1)^(a+1) s^(a-1);
-    they solve the exponent recurrence with seeds (s^2+1, 0) and (0, s^2+1).
-
-    >>> skein_weights(2)[0].text(), skein_weights(2)[1].text()
-    ('s^6 + s^4', 's^5 - s')
-    """
-    sign = 1 if exp % 2 == 0 else -1
-    w0 = LaurentPoly([(3 * exp, 1), (exp + 2, sign)])
-    w1 = LaurentPoly([(3 * exp - 1, 1), (exp - 1, -sign)])
-    return w0, w1
-
-
 def unlink_value(components: int) -> LaurentPoly:
     """Jones polynomial of an unlink with the given component count."""
     if components < 1:
@@ -128,25 +112,25 @@ def expand(word: BraidWord) -> list[ExpansionTerm]:
 
     Summing weight * V(base) over the terms and dividing by (s^2+1)^k
     recovers V(word) exactly; terms whose weight vanishes (a syllable with
-    exponent 1 sent to 0) are dropped. Raises CapExceeded, before any
-    term, above ``CORNER_CAP`` syllables.
+    exponent 1 sent to 0) are dropped. A weight is the product of the
+    syllables' ``s_basis`` entries over s^k, as D = s^3 + s. Raises
+    CapExceeded, before any term, above ``CORNER_CAP`` syllables.
+
+    >>> [t.weight.text() for t in expand(BraidWord(2, (Syllable(1, 2),)))]
+    ['s^6 + s^4', 's^5 - s']
     """
     syls = word.syllables
     if len(syls) > CORNER_CAP:
         raise CapExceeded(f"2^{len(syls)} expansion terms exceed the cap of 2^{CORNER_CAP}")
-    pairs = [skein_weights(s.exp) for s in syls]
+    pairs = [s_basis(SKEIN_SPEC, s.exp) for s in syls]
     terms: list[ExpansionTerm] = []
     for bits in itertools.product((0, 1), repeat=len(syls)):
-        weight = ONE
-        dead = False
-        for pair, j in zip(pairs, bits):
-            w = pair[j]
-            if not w:
-                dead = True
-                break
-            weight = weight * w
-        if dead:
+        factors = [pair[j] for pair, j in zip(pairs, bits)]
+        if not all(factors):
             continue
+        weight = LaurentPoly.monomial(-len(syls))
+        for w in factors:
+            weight = weight * w
         base = BraidWord(
             word.strands,
             tuple(Syllable(s.gen, 1) for s, j in zip(syls, bits) if j),
@@ -156,16 +140,32 @@ def expand(word: BraidWord) -> list[ExpansionTerm]:
 
 
 def expansion_value(word: BraidWord) -> LaurentPoly:
-    """Evaluate a word through the full {0,1} expansion.
+    """Evaluate a word through its {0,1} corner expansion.
 
-    Costs 2^k base evaluations, one :func:`jones` call each, instead of the
-    2^(sum |a_i|) smoothing states of the naive bracket; equals
-    :func:`jones` on every input.
+    Admits the word as :func:`jones` does, then makes 2^k :func:`jones`
+    calls, one per corner, instead of the 2^(sum |a_i|) smoothing states of
+    the naive bracket, and contracts them in one :func:`general_term`, exact
+    at negative exponents too; equals :func:`jones` on every input.
     """
-    total = LaurentPoly()
-    for term in expand(word):
-        total = total + term.weight * jones(term.base)
-    return total.exact_div(_S2P1 ** len(word.syllables))
+    syls = word.syllables
+    if not syls:
+        return jones(word)
+    _factors(word)
+    seeds = _corner_seeds(word.strands, [s.gen for s in syls])
+    return general_term(SKEIN_SPEC, seeds, [s.exp for s in syls])
+
+
+def _corner_seeds(strands: int, gens: Sequence[int]) -> dict[tuple[int, ...], LaurentPoly]:
+    """:func:`jones` of the word on ``gens`` at every {0,1} exponent vector.
+
+    Raises CapExceeded above ``CORNER_CAP`` syllables, before the first call.
+    """
+    if len(gens) > CORNER_CAP:
+        raise CapExceeded(f"2^{len(gens)} corner seeds exceed the cap of 2^{CORNER_CAP}")
+    return {
+        bits: jones(BraidWord(strands, tuple(map(Syllable, gens, bits))))
+        for bits in itertools.product((0, 1), repeat=len(gens))
+    }
 
 
 def jones(word: BraidWord) -> LaurentPoly:
@@ -593,16 +593,7 @@ class GeneratingFunction(NamedTuple):
         indices = tuple(indices)
         if not indices:
             raise ValueError("need at least one syllable index")
-        if len(indices) > CORNER_CAP:
-            raise CapExceeded(f"2^{len(indices)} corner seeds exceed the cap of 2^{CORNER_CAP}")
-        seeds: dict[tuple[int, ...], LaurentPoly] = {}
-        for bits in itertools.product((0, 1), repeat=len(indices)):
-            word = BraidWord(
-                strands,
-                tuple(Syllable(g, j) for g, j in zip(indices, bits)),
-            )
-            seeds[bits] = jones(word)
-        return cls(strands, indices, seeds)
+        return cls(strands, indices, _corner_seeds(strands, indices))
 
     def coefficient(self, exponents: Iterable[int]) -> LaurentPoly:
         """Series coefficient at t1^a1 ... tk^ak for nonnegative a's.

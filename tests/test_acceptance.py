@@ -34,7 +34,6 @@ from braidjones.engine import (
     expand,
     expansion_value,
     jones,
-    skein_weights,
 )
 from braidjones.fibonacci import FibSpec, s_basis
 from braidjones.laurent import LaurentPoly
@@ -166,9 +165,11 @@ def test_criterion_08_generating_functions():
             prev, cur = cur, mersenne.step(prev, cur)
         s = LaurentPoly.monomial(1)
         for a in range(-5, 9):
-            s0, s1 = s_basis(SKEIN_SPEC, a)
-            w0, w1 = skein_weights(a)
-            assert (s0, s1) == (s * w0, s * w1), a
+            basis = s_basis(SKEIN_SPEC, a)
+            terms = expand(BraidWord(2, (Syllable(1, a),)))
+            assert [term.bits[0] for term in terms] == [j for j in (0, 1) if basis[j]], a
+            for term in terms:
+                assert s * term.weight == basis[term.bits[0]], a
 
 
 def test_criterion_09_degree_bounds():

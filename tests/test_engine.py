@@ -26,7 +26,6 @@ from braidjones.engine import (
     expand,
     expansion_value,
     jones,
-    skein_weights,
     step_up,
     unlink_value,
 )
@@ -72,6 +71,14 @@ def mixed_words(draw):
     )
 
 
+def weight_pair(a: int) -> tuple[LaurentPoly, LaurentPoly]:
+    """The weights of the two expansion terms of x1^a, a dropped term's as 0."""
+    pair = [LaurentPoly(), LaurentPoly()]
+    for term in expand(BraidWord(2, (Syllable(1, a),))):
+        pair[term.bits[0]] = term.weight
+    return pair[0], pair[1]
+
+
 class TestSteps:
     def test_two_strand_seed_values(self):
         fam = parse_family("B2: x1^@")
@@ -87,24 +94,21 @@ class TestSteps:
 
     @given(st.integers(min_value=-8, max_value=8))
     def test_weights_solve_recurrence(self, a):
-        w0, w1 = skein_weights(a)
-        n0, n1 = skein_weights(a + 1)
-        m0, m1 = skein_weights(a + 2)
+        w0, w1 = weight_pair(a)
+        n0, n1 = weight_pair(a + 1)
+        m0, m1 = weight_pair(a + 2)
         assert m0 == step_up(w0, n0)
         assert m1 == step_up(w1, n1)
 
     def test_weight_seeds(self):
-        assert skein_weights(0) == (S2P1, LaurentPoly())
-        assert skein_weights(1) == (LaurentPoly(), S2P1)
+        assert weight_pair(0) == (S2P1, LaurentPoly())
+        assert weight_pair(1) == (LaurentPoly(), S2P1)
 
     @given(st.integers(min_value=-5, max_value=8))
     def test_weights_are_scaled_basis(self, a):
         # the D-scaled basis pair equals s times the weight pair
         s = LaurentPoly.monomial(1)
-        s0, s1 = s_basis(SKEIN_SPEC, a)
-        w0, w1 = skein_weights(a)
-        assert s0 == s * w0
-        assert s1 == s * w1
+        assert s_basis(SKEIN_SPEC, a) == tuple(s * w for w in weight_pair(a))
 
 
 class TestClosedForms:
@@ -171,18 +175,41 @@ class TestExpansion:
         assert expansion_value(word) == jones(word), word.text()
 
     def test_expansion_cap_refuses_before_any_term(self, monkeypatch):
-        # 2^13 terms, each a jones call: refused before the first weight
+        # 2^13 terms, each a jones call: refused before the first basis pair
+        # or corner
         def unreachable(*args):
-            raise AssertionError("an expansion term was built")
+            raise AssertionError("an expansion term or corner was built")
 
-        monkeypatch.setattr(engine, "skein_weights", unreachable)
+        monkeypatch.setattr(engine, "s_basis", unreachable)
+        monkeypatch.setattr(engine, "jones", unreachable)
         word = parse_braid("B3: " + " ".join(f"x{1 + i % 2}^3" for i in range(13)))
         assert len(word.syllables) == engine.CORNER_CAP + 1
         start = time.perf_counter()
         for route in (expand, expansion_value):
             with pytest.raises(CapExceeded, match=f"cap of 2\\^{engine.CORNER_CAP}"):
                 route(word)
+        # an exponent past the packed cap is refused at admission
+        with pytest.raises(CapExceeded, match="packed transfer state"):
+            expansion_value(parse_braid(f"B3: x1^{10**12} x2 x1^2 x2"))
         assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize(
+        "text",
+        ["B1:", "B3:", "B3: x1^0 x2^3 x1", "B3: x1^2 x1^-3 x2", "B4: x1^-4 x2^-1 x3^-2 x2^5 x1^-3"],
+    )
+    def test_expansion_makes_one_call_per_corner(self, monkeypatch, text):
+        word = parse_braid(text)
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return jones(w)
+
+        monkeypatch.setattr(engine, "jones", counted)
+        assert expansion_value(word) == jones(word)
+        assert len(calls) == 2 ** len(word.syllables)
+        if word.syllables:
+            assert all(s.exp in (0, 1) for w in calls for s in w.syllables)
 
     def test_expansion_equals_engine_wide_digits(self):
         # coefficients near 1.6e11, packed with large mixed-sign shifts

@@ -5,11 +5,12 @@ classifies a pair of consecutive family values by how their degrees relate
 and predicts degrees and leading coefficients further along the family;
 the closed forms cover the two-strand torus family and the alternating
 3-braid word x1 x2 x1 x2 ...; the table builder regenerates the
-leading-term census of alternating-syllable 3-braids; the unit scan finds
-every exponent at which a family value can equal 1, with certificates
-that the window searched is exhaustive. Each call evaluates its own words
-through :func:`~braidjones.engine.jones`, a family's value at an exponent
-as ``jones`` of the word it stands for, and keeps no value once it returns.
+leading-term census of alternating-syllable 3-braids; the unit search
+places a family's window and its few candidate unit exponents by the
+recurrence's two-root closed form and checks each with ``jones``. Each
+call evaluates its own words through :func:`~braidjones.engine.jones`, a
+family's value at an exponent as ``jones`` of the word it stands for, and
+keeps no value once it returns.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Callable, NamedTuple, Sequence
 
 from .braid import BraidWord, CapExceeded, ExponentFamily, InvariantViolation, Syllable
 from .engine import LOOP_VALUE, jones, step_up
-from .laurent import ONE, LaurentPoly
+from .laurent import ONE, S, LaurentPoly
 
 
 # Syllable pairs of a census: it walks 4^P bit vectors and keeps each; 4^8 took
@@ -149,7 +150,7 @@ def order_bound_check(family: ExponentFamily, e: int, m: int) -> bool:
 
 
 def _values(family: ExponentFamily) -> Callable[[int], LaurentPoly]:
-    """``jones`` of the family's word at an exponent, cached: the unit window asks twice."""
+    """``jones`` of the family's word at an exponent, cached: a unit search's calls overlap."""
     return functools.cache(lambda e: jones(family.instantiate(e)))
 
 
@@ -477,9 +478,9 @@ def leading_term_scan(
 class UnitWindow(NamedTuple):
     """Exponent window outside which a family value can never be 1.
 
-    Above the window the order certificate pins two consecutive values of
-    positive order, which propagates; below it the degree certificate pins
-    two consecutive values of negative degree, which propagates downward.
+    The two-root closed form places each anchor and ``jones`` certifies it:
+    above the window two consecutive values of positive order, below it two
+    of negative degree, and each propagates away from the window.
     """
 
     lo: int
@@ -493,50 +494,48 @@ class UnitSearchResult(NamedTuple):
     hits: tuple[int, ...]
 
 
-_SCAN_LIMIT = 200
-
-
 def unit_window(family: ExponentFamily) -> UnitWindow:
     """Certified finite window containing every possible unit exponent."""
-    return _scan_window(_values(family))
+    return _window(_values(family))[0]
 
 
-def _scan_window(value: Callable[[int], LaurentPoly]) -> UnitWindow:
-    e = 0
-    while True:
-        lo_ord = int(value(e).order)
-        hi_ord = int(value(e + 1).order)
-        if lo_ord >= 1 and hi_ord >= 1:
-            upper = (e, lo_ord, hi_ord)
-            hi = e - 1
-            break
-        e += 1
-        if e > _SCAN_LIMIT:
-            raise CapExceeded(f"order growth not reached within _SCAN_LIMIT = {_SCAN_LIMIT}")
-    e = 0
-    while True:
-        hi_deg = _degree(value(e))
-        lo_deg = _degree(value(e - 1))
-        if hi_deg <= -1 and lo_deg <= -1:
-            lower = (e, hi_deg, lo_deg)
-            lo = e + 1
-            break
+def _window(value: Callable[[int], LaurentPoly]) -> tuple[UnitWindow, list[int]]:
+    """The window and, in order, the exponents inside it where V(e) = 1 can hold.
+
+    (s^3 + s) V(e) = (-s)^e A + s^(3e) B with A = s^3 V(0) - V(1) and
+    B = V(1) + s V(0), neither zero (at s = 1 it would fix |V(e)| while a
+    crossing more changes the component count). So ord V(e) >= min(e + ord A,
+    3e + ord B) - 1 and deg V(e) <= max(e + deg A, 3e + deg B) - 3, both
+    growing with e and exact except where the two terms tie. V(e) = 1 needs
+    the right side at degree 3, by one top term or by two that cancel.
+    """
+    a, b = S**3 * value(0) - value(1), value(1) + S * value(0)
+    oa, ob, da, db = int(a.order), int(b.order), int(a.degree), int(b.degree)
+    e = max(0, 2 - oa, -((ob - 2) // 3))  # least e >= 0 with the order bound >= 1
+    if e > 0 and 2 * (e - 1) == oa - ob and value(e - 1).order >= 1:
         e -= 1
-        if e < -_SCAN_LIMIT:
-            raise CapExceeded(f"degree decay not reached within _SCAN_LIMIT = {_SCAN_LIMIT}")
-    return UnitWindow(lo=lo, hi=hi, order_anchor=upper, degree_anchor=lower)
+    upper = (e, int(value(e).order), int(value(e + 1).order))
+    e = min(0, 2 - da, (2 - db) // 3)  # greatest e <= 0 with the degree bound <= -1
+    if e < 0 and 2 * (e + 1) == da - db and _degree(value(e + 1)) <= -1:
+        e += 1
+    lower = (e, _degree(value(e)), _degree(value(e - 1)))
+    if min(upper[1:]) < 1 or max(lower[1:]) > -1:
+        raise InvariantViolation(f"anchors {upper} and {lower} fail their bounds")
+    window = UnitWindow(lower[0] + 1, upper[0] - 1, upper, lower)
+    found = {n // d for n, d in ((3 - da, 1), (3 - db, 3), (da - db, 2)) if n % d == 0}
+    return window, sorted(e for e in found if window.lo <= e <= window.hi)
 
 
 def unit_search(family: ExponentFamily) -> UnitSearchResult:
     """All exponents where the family value is exactly 1.
 
-    Sweeps the certified window and verifies the structural constraints:
-    at most two unit exponents, and when there are two they differ by
-    exactly 2. A violation raises InvariantViolation.
+    Evaluates only the window's candidates and verifies the structural
+    constraints: at most two unit exponents, and when there are two they
+    differ by exactly 2. A violation raises InvariantViolation.
     """
     value = _values(family)
-    window = _scan_window(value)
-    hits = tuple(e for e in range(window.lo, window.hi + 1) if value(e) == ONE)
+    window, candidates = _window(value)
+    hits = tuple(e for e in candidates if value(e) == ONE)
     if len(hits) > 2:
         raise InvariantViolation(
             f"family {family.text()} has {len(hits)} unit values at {hits}"

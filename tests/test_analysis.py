@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 
@@ -27,9 +28,15 @@ from braidjones.analysis import (
 )
 from braidjones.braid import parse_family
 from braidjones.engine import jones, step_up
-from braidjones.laurent import LaurentPoly
+from braidjones.laurent import ONE, LaurentPoly
+
+from .helpers import random_family
 
 V = LaurentPoly.parse
+
+# families whose anchors sit one step nearer 0 than the closed form's bound,
+# where the two terms tie and cancel: order side, then degree side
+TIE_FAMILIES = ("B3: x1^@ x2 x1^-1 x2^2", "B3: x2 x1^-2 x2^@ x1^-1")
 
 
 def synthetic_chain(v_e: LaurentPoly, v_e1: LaurentPoly, length: int):
@@ -320,24 +327,92 @@ class TestUnits:
         assert window.lo <= -1 <= 1 <= window.hi
 
     def test_violation_guards(self, monkeypatch):
-        # synthetic family values with three units must trip the guard
+        # V(0) = 1 and V(1) = s^-3 - s give A = s^3 + s - s^-3 and B = s^-3:
+        # anchors at 5 and -1, candidates 0, 2 and 3, all three units here
         def stub(e):
-            if e in (0, 2, 4):
+            if e == 1:
+                return V("s^-3 - s")
+            if e in (0, 2, 3):
                 return V("1")
             return LaurentPoly.monomial(e)
 
         monkeypatch.setattr(analysis, "_values", lambda family: stub)
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match=r"3 unit values at \(0, 2, 3\)"):
             unit_search(parse_family("B2: x1^@"))
 
     def test_spacing_guard(self, monkeypatch):
         def stub(e):
+            if e == 1:
+                return V("s^-3 - s")
             if e in (0, 3):
                 return V("1")
-            if e in (1, 2):
-                return V("2")  # keeps the window open across the gap
+            if e == 2:
+                return V("2")  # a candidate that is not a unit
             return LaurentPoly.monomial(e)
 
         monkeypatch.setattr(analysis, "_values", lambda family: stub)
-        with pytest.raises(InvariantViolation):
+        with pytest.raises(InvariantViolation, match=r"spaced 3 apart at \(0, 3\)"):
             unit_search(parse_family("B2: x1^@"))
+
+    def test_anchor_guard(self, monkeypatch):
+        # V(0) = 1 and V(1) = s place the order anchor at 1, but V(2) = 1
+        def stub(e):
+            return V("1") if e in (0, 2, 4) else LaurentPoly.monomial(e)
+
+        monkeypatch.setattr(analysis, "_values", lambda family: stub)
+        with pytest.raises(InvariantViolation, match="fail their bounds"):
+            unit_search(parse_family("B2: x1^@"))
+
+    @pytest.mark.parametrize(
+        "text, window, order_anchor, degree_anchor, hits",
+        [
+            ("B2: x1^@ x1^-250", (1, 251), (252, 1, 2), (0, -249, -250), (249, 251)),
+            ("B2: x1^@ x1^-1000", (1, 1001), (1002, 1, 2), (0, -999, -1000), (999, 1001)),
+        ],
+    )
+    def test_units_far_from_zero(self, text, window, order_anchor, degree_anchor, hits):
+        # T(2, e - k) has its units at k - 1 and k + 1, however large k is
+        result = unit_search(parse_family(text))
+        assert (result.window.lo, result.window.hi) == window
+        assert result.window.order_anchor == order_anchor
+        assert result.window.degree_anchor == degree_anchor
+        assert result.hits == hits
+
+    def test_calls_per_search(self, monkeypatch):
+        # 2 seeds, 4 anchor values, 2 tie checks and 3 candidates at most
+        calls = []
+
+        def counting(word):
+            calls.append(word)
+            return jones(word)
+
+        monkeypatch.setattr(analysis, "jones", counting)
+        for text in ("B2: x1^@ x1^-1000", *TIE_FAMILIES):
+            calls.clear()
+            unit_search(parse_family(text))
+            assert len(calls) <= 11, text
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_reference_sweep(self, seed):
+        rng = random.Random(seed)
+        families = [
+            random_family(rng, rng.randint(2, 4), max_syllables=5, max_abs_exp=6,
+                          allow_negative=True)
+            for _ in range(40)
+        ]
+        if seed == 0:
+            families += [parse_family(text) for text in TIE_FAMILIES]
+        for fam in families:
+            result = unit_search(fam)
+            lo, hi, (oe, o0, o1), (de, d0, d1) = result.window
+            assert (lo, hi) == (de + 1, oe - 1)
+            value = {e: jones(fam.instantiate(e)) for e in range(de - 1, oe + 2)}
+            assert result.hits == tuple(e for e in range(lo, hi + 1) if value[e] == ONE)
+            assert (int(value[oe].order), int(value[oe + 1].order)) == (o0, o1)
+            assert (int(value[de].degree), int(value[de - 1].degree)) == (d0, d1)
+            assert min(o0, o1) >= 1 and max(d0, d1) <= -1
+            # minimal as the walk out from 0 defined them
+            if oe > 0:
+                assert min(value[oe - 1].order, value[oe].order) < 1, fam.text()
+            if de < 0:
+                assert max(value[de + 1].degree, value[de].degree) > -1, fam.text()

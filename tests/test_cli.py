@@ -419,6 +419,16 @@ class TestUnits:
         assert code == 0
         assert "units at: -3, -1" in out
 
+    def test_units_far_from_zero(self, capsys):
+        code, out, _ = run(capsys, "units", "B2: x1^@ x1^-250")
+        assert code == 0
+        assert "units at: 249, 251" in out
+
+    def test_unadmitted_seed_exits_one(self, capsys):
+        code, _, err = run(capsys, "units", "B2: x1^@ x1^-1000000000000")
+        assert code == 1
+        assert "exceeds the cap" in err
+
 
 class TestBench:
     def test_reports_term_counts(self, capsys):
@@ -673,6 +683,7 @@ class TestArgvGrammar:
     @example(["jones", "B13: x1^1000000000000 x2 x1", "--engine", "oracle"])
     @example(["units", "B2: x1^@ x1^-1000"])
     @example(["units", "B2: x1^@ x1^300"])
+    @example(["units", "B2: x1^@ x1^-1000000000000"])
     def test_every_draw_exits_within_two_seconds(self, argv):
         out, err = io.StringIO(), io.StringIO()
         previous = signal.signal(signal.SIGALRM, _overtime)

@@ -185,9 +185,7 @@ def alternating_word(length: int) -> BraidWord:
     """The 3-braid word x1 x2 x1 x2 ... with the given letter count."""
     if length < 0:
         raise ValueError("length must be >= 0")
-    return BraidWord(
-        3, tuple(Syllable(1 if i % 2 == 0 else 2, 1) for i in range(length))
-    )
+    return _alternating_syllable_word([1] * length)
 
 
 _ALTERNATING_FORMULA_MAX = 29  # largest length the residue formulas are pinned at

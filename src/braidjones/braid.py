@@ -1,9 +1,8 @@
 """Braid words in syllable form, and the errors the whole package raises.
 
 A word is a sequence of syllables ``x_i^a`` on a fixed number of strands.
-Closures are taken cyclically, so the canonical form merges syllables
-across the wrap-around and rotates to a least representative, which is
-invariant under conjugation.
+Closures are taken cyclically, so :func:`reduce_cyclic` merges syllables
+across the wrap-around; conjugate words reduce to rotations of one another.
 
 Text form: ``B3: x1^2 x2``. A one-slot exponent family writes its variable
 exponent as ``x1^@``.
@@ -46,8 +45,8 @@ class _BraidWordFields(NamedTuple):
 class BraidWord(_BraidWordFields):
     """A braid word on ``strands`` strands.
 
-    The syllable list is kept exactly as given; use :meth:`canonical` for
-    the cyclically reduced representative. Strand positions are 1-based.
+    The syllable list is kept exactly as given; :func:`reduce_cyclic` gives
+    the cyclically reduced form. Strand positions are 1-based.
     """
 
     __slots__ = ()
@@ -113,27 +112,7 @@ class BraidWord(_BraidWordFields):
                 p = perm[p]
         return count
 
-    def is_knot(self) -> bool:
-        return self.components() == 1
-
     # -- rewriting ------------------------------------------------------
-
-    def canonical(self) -> BraidWord:
-        """Cyclically reduced least representative of the closure.
-
-        Merges adjacent syllables with equal generator (including across
-        the wrap-around), drops zero exponents, and rotates the result to
-        the lexicographically least syllable sequence. Idempotent, and
-        constant on cyclic rotations of the same word.
-        """
-        syls = reduce_cyclic((s.gen, s.exp) for s in self.syllables)
-        if not syls:
-            return BraidWord(self.strands)
-        tup = tuple(syls)
-        # the least rotation starts at a least syllable
-        first = min(tup)
-        best = min(tup[i:] + tup[:i] for i, syl in enumerate(tup) if syl == first)
-        return BraidWord(self.strands, tuple(Syllable(g, e) for g, e in best))
 
     def rotated(self, k: int) -> BraidWord:
         """Cyclic rotation by k syllables (a conjugate of the word)."""

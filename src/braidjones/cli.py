@@ -25,7 +25,14 @@ import sys
 import time
 from typing import Iterable, Sequence
 
-from .braid import BoundsError, CapExceeded, InvariantViolation, parse_braid, parse_family
+from .braid import (
+    BoundsError,
+    CapExceeded,
+    InvariantViolation,
+    parse_braid,
+    parse_family,
+    reduce_cyclic,
+)
 from .engine import CORNER_CAP, GeneratingFunction, jones
 from .laurent import LaurentPoly, ParseError
 
@@ -110,8 +117,10 @@ def _cmd_family(args: argparse.Namespace) -> int:
 def _cmd_genfun(args: argparse.Namespace) -> int:
     indices = _parse_ints(args.indices)
     k, upto = len(indices), args.upto
+    if upto is not None and upto < 0:
+        raise ValueError(f"--upto must be >= 0, got {upto}")
     # (M+1)^(k+1) 2^k; build() refuses more than CORNER_CAP indices itself
-    if upto is not None and k <= CORNER_CAP and max(upto + 1, 0) ** (k + 1) << k > GRID_CAP:
+    if upto is not None and k <= CORNER_CAP and (upto + 1) ** (k + 1) << k > GRID_CAP:
         raise CapExceeded(f"--upto {upto} on {k} indices exceeds the cap of {GRID_CAP}")
     gf = GeneratingFunction.build(args.strands, indices)
     if args.coeff is not None:
@@ -131,6 +140,9 @@ def _cmd_genfun(args: argparse.Namespace) -> int:
 def _cmd_classify(args: argparse.Namespace) -> int:
     from . import analysis
 
+    # refused before any line is printed, as predict_degrees would refuse it
+    if args.predict is not None and args.predict < 1:
+        raise ValueError(f"--predict must be >= 1, got {args.predict}")
     family = parse_family(args.family)
     e = args.at
     v_e, v_e1 = jones(family.instantiate(e)), jones(family.instantiate(e + 1))
@@ -287,7 +299,7 @@ def _power_of_two(exp: int) -> tuple[str, int | str]:
 
 def _cmd_bench(args: argparse.Namespace) -> int:
     word = parse_braid(args.braid)
-    syllables = len(word.canonical().syllables)
+    syllables = len(reduce_cyclic(word.syllables))
     crossings = word.crossing_count()
     start = time.perf_counter()
     value = jones(word)
@@ -506,3 +518,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def entry() -> None:
     raise SystemExit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -22,7 +22,8 @@ serves both, at any index, with no table of earlier entries.
 Everything here is exact in LaurentPoly, an integer root taken as a
 constant; the division by D^p is always exact, since every basis entry is a
 multiple of D. Negative indices need both roots invertible: unit monomials
-(for an integer root, 1 or -1).
+(for an integer root, 1 or -1). Any other root raises the ValueError of
+``LaurentPoly.__pow__``.
 """
 
 from __future__ import annotations
@@ -33,17 +34,6 @@ from typing import Mapping, NamedTuple, Sequence
 from .laurent import LaurentPoly
 
 Ring = LaurentPoly | int
-
-
-class NonInvertibleRoot(ArithmeticError):
-    """A negative index needs an inverse the root does not have."""
-
-
-def _power(x: Ring, n: int) -> LaurentPoly:
-    try:
-        return LaurentPoly._coerce(x) ** n  # an integer root as a constant
-    except ValueError as exc:
-        raise NonInvertibleRoot(str(exc)) from exc
 
 
 class _FibSpecFields(NamedTuple):
@@ -84,8 +74,8 @@ def s_basis(spec: FibSpec, n: int) -> tuple[LaurentPoly, LaurentPoly]:
     S_0 solves the recurrence with seeds (D, 0) and S_1 with seeds (0, D),
     so x_n = (S_0[n] x_0 + S_1[n] x_1) / D for any solution x.
     """
-    p1 = _power(spec.r1, n)
-    p2 = _power(spec.r2, n)
+    p1 = LaurentPoly._coerce(spec.r1) ** n  # an integer root as a constant
+    p2 = LaurentPoly._coerce(spec.r2) ** n
     return (p1 * spec.r2 - spec.r1 * p2, p2 - p1)
 
 

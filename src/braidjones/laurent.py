@@ -19,8 +19,8 @@ The zero polynomial reports degree ``-inf`` and order ``+inf`` so degree
 comparisons stay total.
 
 >>> p = LaurentPoly.parse("-s^8 + s^6 + s^2")
->>> p.degree, p.order, p.leading, p.trailing
-(8, 2, -1, 1)
+>>> p.degree, p.order, p.leading
+(8, 2, -1)
 >>> (p * p).exact_div(p) == p
 True
 """
@@ -29,12 +29,8 @@ from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left
 from itertools import compress
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
-
-if TYPE_CHECKING:
-    from fractions import Fraction
+from typing import Iterable, Iterator, Mapping
 
 NEG_INFINITY = -math.inf
 POS_INFINITY = math.inf
@@ -135,15 +131,6 @@ class LaurentPoly:
     def leading(self) -> int:
         """Coefficient at the degree, 0 for the zero polynomial."""
         return self._cs[-1] if self._cs else 0
-
-    @property
-    def trailing(self) -> int:
-        """Coefficient at the order, 0 for the zero polynomial."""
-        return self._cs[0] if self._cs else 0
-
-    def coefficient(self, exp: int) -> int:
-        i = bisect_left(self._exps, exp)
-        return self._cs[i] if i < len(self._exps) and self._exps[i] == exp else 0
 
     def terms(self) -> Iterator[tuple[int, int]]:
         """(exponent, coefficient) pairs in descending exponent order."""
@@ -315,19 +302,6 @@ class LaurentPoly:
         qexps.reverse()
         qcs.reverse()
         return LaurentPoly._make(qexps, qcs)
-
-    def evaluate(self, x: int | Fraction) -> Fraction:
-        """Exact value at a nonzero rational point."""
-        # loaded here, since nothing else needs fractions (or its decimal)
-        from fractions import Fraction
-
-        if x == 0:
-            raise ValueError("cannot evaluate at 0: negative exponents")
-        x = Fraction(x)
-        total = Fraction(0)
-        for e, c in zip(self._exps, self._cs):
-            total += c * x**e
-        return total
 
     def inverse_variable(self) -> LaurentPoly:
         """Substitute the variable by its inverse (negate all exponents)."""

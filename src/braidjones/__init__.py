@@ -21,6 +21,7 @@ from .braid import (
     CapExceeded,
     ExponentFamily,
     InvariantViolation,
+    ParseError,
     Syllable,
     parse_braid,
     parse_family,
@@ -33,7 +34,7 @@ from .engine import (
     step_up,
     unlink_value,
 )
-from .laurent import LaurentPoly, NotDivisible, ParseError
+from .laurent import LaurentPoly, NotDivisible
 
 __version__ = "0.1.0"
 

@@ -13,7 +13,15 @@ from __future__ import annotations
 import re
 from typing import Iterable, Iterator, NamedTuple
 
-from .laurent import CapExceeded, ParseError  # CapExceeded is re-exported
+from .laurent import CapExceeded  # CapExceeded is re-exported
+
+
+class ParseError(ValueError):
+    """Raised on malformed text input; carries the failing offset."""
+
+    def __init__(self, message: str, position: int):
+        super().__init__(f"{message} at position {position}")
+        self.position = position
 
 
 class BoundsError(ValueError):

@@ -26,7 +26,6 @@ import time
 from typing import Iterable, Sequence
 
 from .braid import (
-    BoundsError,
     CapExceeded,
     InvariantViolation,
     parse_braid,
@@ -34,7 +33,7 @@ from .braid import (
     reduce_cyclic,
 )
 from .engine import CORNER_CAP, GeneratingFunction, jones
-from .laurent import LaurentPoly, ParseError
+from .laurent import LaurentPoly
 
 
 class _Parser(argparse.ArgumentParser):
@@ -73,10 +72,10 @@ _RANGE = re.compile(r"^(-?\d+)\.\.(-?\d+)$")
 def _parse_range(text: str) -> tuple[int, int]:
     match = _RANGE.match(text)
     if not match:
-        raise ParseError(f"range must look like -2..5, got {text!r}", 0)
+        raise ValueError(f"range must look like -2..5, got {text!r}")
     lo, hi = int(match.group(1)), int(match.group(2))
     if lo > hi:
-        raise ParseError(f"empty range {text!r}", 0)
+        raise ValueError(f"empty range {text!r}")
     return lo, hi
 
 
@@ -84,7 +83,7 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in text.split(","))
     except ValueError:
-        raise ParseError(f"need a comma-separated integer list, got {text!r}", 0)
+        raise ValueError(f"need a comma-separated integer list, got {text!r}")
 
 
 # -- subcommand bodies ---------------------------------------------------
@@ -201,15 +200,21 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             )
         return 0 if report.bound_met else 2
     if args.pairs is None:
-        raise ParseError("audit needs --exps or --pairs", 0)
+        raise ValueError("audit needs --exps or --pairs")
+    # refused before any word is drawn: below these an audit checks nothing
+    if args.pairs < 1:
+        raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
+    if args.samples is not None and args.samples < 1:
+        raise ValueError(f"--samples must be >= 1, got {args.samples}")
+    if args.max_exp < 0:
+        raise ValueError(f"--max-exp must be >= 0, got {args.max_exp}")
     width = 2 * args.pairs
     if args.samples is None:
         # a base of 2 or more passes the cap at this width, so no huge power is built
-        words = max(args.max_exp + 1, 0) ** min(max(width, 0), AUDIT_CAP.bit_length())
+        words = (args.max_exp + 1) ** min(width, AUDIT_CAP.bit_length())
     else:
         words = args.samples
-    # product() sizes its pools by the width even when no word is drawn
-    if max(words, 1) * width > AUDIT_CAP:
+    if words * width > AUDIT_CAP:
         raise CapExceeded(f"{words} words of {width} exponents exceed the cap of {AUDIT_CAP}")
     rng = random.Random(args.seed)
     vectors: Iterable[tuple[int, ...]] = (
@@ -498,9 +503,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, BoundsError) as exc:
-        print(f"braidjones: {exc}", file=sys.stderr)
-        return 1
     except CapExceeded as exc:
         # only the oracle has an engine to switch to
         hint = ""

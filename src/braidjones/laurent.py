@@ -18,7 +18,7 @@ short-lived small values.
 The zero polynomial reports degree ``-inf`` and order ``+inf`` so degree
 comparisons stay total.
 
->>> p = LaurentPoly.parse("-s^8 + s^6 + s^2")
+>>> p = LaurentPoly({8: -1, 6: 1, 2: 1})
 >>> p.degree, p.order, p.leading
 (8, 2, -1)
 >>> (p * p).exact_div(p) == p
@@ -59,14 +59,6 @@ class CapExceeded(RuntimeError):
 
 class NotDivisible(ArithmeticError):
     """Raised when an exact division leaves a nonzero remainder."""
-
-
-class ParseError(ValueError):
-    """Raised on malformed text input; carries the failing offset."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} at position {position}")
-        self.position = position
 
 
 class LaurentPoly:
@@ -241,8 +233,8 @@ class LaurentPoly:
         even where its first step would raise NotDivisible:
         ``(2s^N + 1).exact_div(2s^2 + 1)`` raises CapExceeded for a large N.
 
-        >>> LaurentPoly.parse("-s^7 - s^5 - s^3 - s").exact_div(
-        ...     LaurentPoly.parse("s^2 + 1")).text()
+        >>> LaurentPoly({7: -1, 5: -1, 3: -1, 1: -1}).exact_div(
+        ...     LaurentPoly({2: 1, 0: 1})).text()
         '-s^5 - s'
         """
         den = self._coerce(den)
@@ -332,59 +324,6 @@ class LaurentPoly:
             else:
                 parts.append((" + " if c > 0 else " - ") + body)
         return "".join(parts)
-
-    @classmethod
-    def parse(cls, text: str) -> LaurentPoly:
-        """Parse polynomial text (the format produced by ``text``).
-
-        Accepts any term order and repeated exponents; raises ParseError
-        with the offending position otherwise.
-        """
-        s = text
-        n = len(s)
-        i = 0
-        while i < n and s[i].isspace():
-            i += 1
-        if i == n:
-            raise ParseError("empty polynomial text", 0)
-        acc: dict[int, int] = {}
-        first = True
-        while i < n:
-            sign = 1
-            if s[i] in "+-":
-                sign = -1 if s[i] == "-" else 1
-                i += 1
-                while i < n and s[i].isspace():
-                    i += 1
-            elif not first:
-                raise ParseError("expected '+' or '-' between terms", i)
-            start = i
-            while i < n and s[i].isdigit():
-                i += 1
-            digits = s[start:i]
-            exp = 0
-            has_var = i < n and s[i] == "s"
-            if has_var:
-                i += 1
-                exp = 1
-                if i < n and s[i] == "^":
-                    i += 1
-                    j = i
-                    if i < n and s[i] == "-":
-                        i += 1
-                    while i < n and s[i].isdigit():
-                        i += 1
-                    if i == j or not s[j:i].lstrip("-"):
-                        raise ParseError("expected integer exponent after '^'", j)
-                    exp = int(s[j:i])
-            if not digits and not has_var:
-                raise ParseError("expected a coefficient or variable", start)
-            coeff = sign * (int(digits) if digits else 1)
-            acc[exp] = acc.get(exp, 0) + coeff
-            first = False
-            while i < n and s[i].isspace():
-                i += 1
-        return cls(acc)
 
     def as_json_dict(self) -> dict[str, str]:
         """Exponent to coefficient map with decimal string keys and values."""

@@ -39,8 +39,6 @@ from braidjones.fibonacci import FibSpec, s_basis
 from braidjones.laurent import LaurentPoly
 from .helpers import conjugate, random_family, random_word
 
-V = LaurentPoly.parse
-
 
 @contextlib.contextmanager
 def verdict(number: int, title: str):
@@ -61,9 +59,9 @@ def both_routes(word: BraidWord) -> LaurentPoly:
 def test_criterion_01_two_strand_seeds():
     with verdict(1, "two-strand seed values match on both routes"):
         fam = parse_family("B2: x1^@")
-        assert both_routes(fam.instantiate(0)) == V("-s - s^-1")
-        assert both_routes(fam.instantiate(1)) == V("1")
-        assert both_routes(fam.instantiate(-1)) == V("1")
+        assert both_routes(fam.instantiate(0)).text() == "-s - s^-1"
+        assert both_routes(fam.instantiate(1)).text() == "1"
+        assert both_routes(fam.instantiate(-1)).text() == "1"
 
 
 def test_criterion_02_alternating_base_values():
@@ -77,7 +75,7 @@ def test_criterion_02_alternating_base_values():
             "-s^11 + s^9 - s^7 - s^3",
         ]
         for n, text in enumerate(pinned):
-            assert both_routes(alternating_word(n)) == V(text), n
+            assert both_routes(alternating_word(n)).text() == text, n
 
 
 def test_criterion_03_alternating_residue_formulas():
@@ -269,14 +267,14 @@ def test_criterion_10_leading_term_tables():
                 d = 2 + a3 + a4
                 assert_leading(quartic(1, 1, a3, a4), 3 * d - 4, -1)
         # row family (a1, 1, 2, 1): coefficient 2 at the critical start
-        assert jones(quartic(2, 1, 2, 1)) == V("2s^12 + s^8 + s^4")
+        assert jones(quartic(2, 1, 2, 1)).text() == "2s^12 + s^8 + s^4"
         for a1 in range(2, 9):
             d = a1 + 4
             assert_leading(quartic(a1, 1, 2, 1), 3 * d - 6, 2 if a1 == 2 else 1)
         # row family (a1, 1, 3, 1): two pinned critical entries, then the
         # propagated tail -s^(3D-10); the tail is re-checked on the oracle
-        assert jones(quartic(3, 1, 3, 1)) == V("-s^16 + s^10 + s^6")
-        assert jones(quartic(4, 1, 3, 1)) == V("-s^11 - s^7")
+        assert jones(quartic(3, 1, 3, 1)).text() == "-s^16 + s^10 + s^6"
+        assert jones(quartic(4, 1, 3, 1)).text() == "-s^11 - s^7"
         for a1 in range(5, 9):
             d = a1 + 5
             assert_leading(quartic(a1, 1, 3, 1), 3 * d - 10, -1, oracle=True)

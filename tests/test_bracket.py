@@ -24,8 +24,6 @@ from braidjones.braid import BraidWord, Syllable, parse_braid
 from braidjones.laurent import LaurentPoly
 from .helpers import random_word
 
-V = LaurentPoly.parse
-
 
 @st.composite
 def oracle_words(draw, max_crossings: int = 14, max_strands: int = 6):
@@ -51,19 +49,19 @@ class TestFixtures:
             ("B2: x1", "1"),                           # unknot
             ("B2: x1^0", "-s - s^-1"),                 # two-component unlink
             ("B2: x1^2", "-s^5 - s"),                  # Hopf link, positive
-            ("B2: x1^-2", "-s^-5 - s^-1"),             # Hopf link, negative
+            ("B2: x1^-2", "-s^-1 - s^-5"),             # Hopf link, negative
             ("B2: x1^3", "-s^8 + s^6 + s^2"),          # right trefoil
-            ("B2: x1^-3", "-s^-8 + s^-6 + s^-2"),      # left trefoil
+            ("B2: x1^-3", "s^-2 + s^-6 - s^-8"),       # left trefoil
             ("B3: x1 x2^-1 x1 x2^-1", "s^4 - s^2 + 1 - s^-2 + s^-4"),  # figure eight
             ("B3: x1 x2 x1 x2", "-s^8 + s^6 + s^2"),   # trefoil again
             ("B3:", "s^2 + 2 + s^-2"),                 # three-component unlink
         ],
     )
     def test_closure_values(self, text, value):
-        assert jones_via_bracket(parse_braid(text)) == V(value)
+        assert jones_via_bracket(parse_braid(text)).text() == value
 
     def test_empty_two_strand(self):
-        assert jones_via_bracket(parse_braid("B2:")) == V("-s - s^-1")
+        assert jones_via_bracket(parse_braid("B2:")).text() == "-s - s^-1"
 
     def test_bracket_of_empty_word(self):
         # delta^(strands-1) with no crossings

@@ -94,7 +94,7 @@ class TestJones:
     def test_long_square_chain(self, capsys):
         code, out, _ = run(capsys, "jones", SQUARE_CHAIN)
         assert code == 0
-        assert out == (LaurentPoly.parse("-s^5 - s") ** 599).text() + "\n"
+        assert out == (LaurentPoly({5: -1, 1: -1}) ** 599).text() + "\n"
 
     def test_transfer_cap_exits_one(self, capsys, monkeypatch):
         monkeypatch.setattr(engine, "TRANSFER_CAP", 2)
@@ -397,6 +397,27 @@ class TestAudit:
     def test_missing_selector_exits_one(self, capsys):
         assert run(capsys, "audit")[0] == 1
 
+    @pytest.mark.parametrize("mode", [[], ["--json"]])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--pairs", "2", "--samples", "-5"], "--samples must be >= 1, got -5"),
+            (["--pairs", "2", "--samples", "0"], "--samples must be >= 1, got 0"),
+            (["--pairs", "2", "--max-exp", "-1"], "--max-exp must be >= 0, got -1"),
+            (["--pairs", "2", "--max-exp", "-1", "--samples", "3"], "--max-exp must be >= 0, got -1"),
+            (["--pairs", "-1"], "--pairs must be >= 1, got -1"),
+            (["--pairs", "0"], "--pairs must be >= 1, got 0"),
+        ],
+    )
+    def test_counts_that_check_nothing_exit_one(self, capsys, monkeypatch, mode, argv, message):
+        # refused in both output modes before any word is drawn
+        def degree_audit(exps):
+            raise AssertionError(f"audited {exps} under a count that checks nothing")
+
+        monkeypatch.setattr(analysis, "degree_audit", degree_audit)
+        code, out, err = run(capsys, "audit", *argv, *mode)
+        assert (code, out, err) == (1, "", f"braidjones: {message}\n")
+
 
 class TestTables:
     def test_two_pair_census(self, capsys):
@@ -516,6 +537,22 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 1
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["family", "B2: x1^@", "--range", "a..b"], "range must look like -2..5, got 'a..b'"),
+            (
+                ["genfun", "--strands", "3", "--indices", "1,x", "--upto", "1"],
+                "need a comma-separated integer list, got '1,x'",
+            ),
+            (["audit"], "audit needs --exps or --pairs"),
+        ],
+    )
+    def test_option_errors_name_no_position(self, capsys, argv, message):
+        # only braid text has positions; an option value is read whole
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (1, "", f"braidjones: {message}\n")
 
     def test_unknown_command_exits_one(self):
         with pytest.raises(SystemExit) as exc:

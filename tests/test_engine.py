@@ -33,8 +33,7 @@ from braidjones.fibonacci import general_term, s_basis
 from braidjones.laurent import LaurentPoly
 from .helpers import DESTABILIZATION_CHAIN, SPLIT_CHAIN, SQUARE_CHAIN, conjugate, random_word
 
-V = LaurentPoly.parse
-S2P1 = V("s^2 + 1")
+S2P1 = LaurentPoly({2: 1, 0: 1})
 
 
 # a two-component link whose cut leaves one transfer part and the twists
@@ -82,9 +81,9 @@ def weight_pair(a: int) -> tuple[LaurentPoly, LaurentPoly]:
 class TestSteps:
     def test_two_strand_seed_values(self):
         fam = parse_family("B2: x1^@")
-        assert jones(fam.instantiate(0)) == V("-s - s^-1")
-        assert jones(fam.instantiate(1)) == V("1")
-        assert jones(fam.instantiate(-1)) == V("1")
+        assert jones(fam.instantiate(0)).text() == "-s - s^-1"
+        assert jones(fam.instantiate(1)).text() == "1"
+        assert jones(fam.instantiate(-1)).text() == "1"
 
     def test_step_up_matches_direct(self):
         fam = parse_family("B2: x1^@")
@@ -113,9 +112,9 @@ class TestSteps:
 
 class TestClosedForms:
     def test_unlink_values(self):
-        assert unlink_value(1) == V("1")
-        assert unlink_value(2) == V("-s - s^-1")
-        assert unlink_value(3) == V("s^2 + 2 + s^-2")
+        assert unlink_value(1).text() == "1"
+        assert unlink_value(2).text() == "-s - s^-1"
+        assert unlink_value(3).text() == "s^2 + 2 + s^-2"
         with pytest.raises(ValueError):
             unlink_value(0)
 
@@ -242,14 +241,14 @@ class TestEngine:
                 assert jones(word.rotated(k)) == jones(word)
 
     def test_long_destabilization_chain(self):
-        assert jones(parse_braid(DESTABILIZATION_CHAIN)) == V("1")
+        assert jones(parse_braid(DESTABILIZATION_CHAIN)).text() == "1"
 
     def test_long_split_chain(self):
         assert jones(parse_braid(SPLIT_CHAIN)) == unlink_value(600)
 
     def test_long_square_chain(self):
         assert engine._width(600, [2] * 599) == 1600
-        hopf = V("-s^5 - s")
+        hopf = LaurentPoly({5: -1, 1: -1})
         assert jones(parse_braid(SQUARE_CHAIN)) == hopf**599
 
     def test_transfer_cap(self, monkeypatch):
@@ -259,7 +258,9 @@ class TestEngine:
             jones(parse_braid("B4: x1 x2 x3 x1 x2 x3"))
         # words that cut into two-strand pieces never reach the transfer
         assert jones(parse_braid("B4: x1^2 x2^3 x3^-2")) == (
-            V("-s^5 - s") * V("-s^8 + s^6 + s^2") * V("-s^-5 - s^-1")
+            LaurentPoly({5: -1, 1: -1})
+            * LaurentPoly({8: -1, 6: 1, 2: 1})
+            * LaurentPoly({-5: -1, -1: -1})
         )
 
     @pytest.mark.parametrize(

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import braidjones
 from braidjones import braid, laurent
-from braidjones.laurent import CapExceeded, LaurentPoly, NotDivisible, ParseError
+from braidjones.laurent import CapExceeded, LaurentPoly, NotDivisible
 
 S = LaurentPoly.monomial(1)
 ONE = LaurentPoly.monomial(0)
@@ -115,14 +115,14 @@ class TestExactDivision:
         assert ZERO.exact_div(S + 1) == ZERO
 
     def test_int_divisor(self):
-        assert LaurentPoly.parse("4s - 6").exact_div(2) == LaurentPoly.parse("2s - 3")
+        assert LaurentPoly({1: 4, 0: -6}).exact_div(2) == LaurentPoly({1: 2, 0: -3})
         with pytest.raises(NotDivisible):
-            LaurentPoly.parse("4s - 6").exact_div(4)
+            LaurentPoly({1: 4, 0: -6}).exact_div(4)
 
     @pytest.mark.parametrize("den", [2.0, Fraction(2)])
     def test_non_integer_divisor_rejected(self, den):
         with pytest.raises(TypeError):
-            LaurentPoly.parse("4s").exact_div(den)
+            LaurentPoly.monomial(1, 4).exact_div(den)
 
     @pytest.mark.parametrize("gap", [10**6, 10**18])
     def test_sparse_gap(self, gap):
@@ -169,19 +169,6 @@ class TestText:
     def test_render(self, poly, text):
         assert poly.text() == text
 
-    @pytest.mark.parametrize(
-        "text",
-        ["0", "1", "-s - s^-1", "-s^8 + s^6 + s^2", "2s^12 + s^8 + s^4", "s^2+2+s^-2"],
-    )
-    def test_parse_round_trip(self, text):
-        assert LaurentPoly.parse(text).text() == LaurentPoly.parse(text).text()
-        assert LaurentPoly.parse(LaurentPoly.parse(text).text()) == LaurentPoly.parse(text)
-
-    def test_parse_errors(self):
-        for bad in ["", "s^", "q^2", "1 +", "s^1.5", "--s"]:
-            with pytest.raises(ParseError):
-                LaurentPoly.parse(bad)
-
     def test_json_dict(self):
         d = LaurentPoly({2: 1, 0: 2, -2: 1}).as_json_dict()
         assert d == {"2": "1", "0": "2", "-2": "1"}
@@ -206,10 +193,6 @@ class TestProperties:
         assume(len(q) > 1 or abs(q.leading) > 1)
         with pytest.raises(NotDivisible):
             (p * q + 1).exact_div(q)
-
-    @given(polys())
-    def test_parse_text_round_trip(self, p):
-        assert LaurentPoly.parse(p.text()) == p
 
     @given(polys())
     def test_degree_order_consistency(self, p):
@@ -249,7 +232,6 @@ class TestLayout:
     @given(gapped_polys(), gapped_polys(), st.integers(0, 3))
     def test_every_result_is_canonical(self, p, q, n):
         results = [p + q, p - q, p - p, -p, p * q, p**n, p.inverse_variable()]
-        results.append(LaurentPoly.parse(p.text()))
         if q:
             results.append((p * q).exact_div(q))
         if len(q) == 1 and abs(q.leading) == 1:

@@ -63,7 +63,7 @@ def test_quick_start_values():
         shown = re.match(r"\s*('[^']*'|True|False)", comment).group(1)
         assert eval(expr, namespace) == ast.literal_eval(shown), line
         checked += 1
-    assert checked == 3
+    assert checked == 4
 
 
 @pytest.mark.parametrize("command, shown", TRANSCRIPTS, ids=[c for c, _ in TRANSCRIPTS])

@@ -3,11 +3,12 @@
 Two evaluators share one convention block: a naive sum over all ``2^c``
 crossing smoothings, and a transfer-matrix pass through the planar diagram
 algebra whose cost is polynomial in word length for fixed strand count.
-``jones_via_bracket`` runs the transfer pass up to ``TL_CAP`` strands and
-the naive sum above them; ``jones_from_bracket`` applies the writhe
-correction and rewrites the bracket variable ``A`` into the skein variable
-``s``. Nothing here touches the recurrence engine, so agreement between the
-two pipelines is a real cross-check.
+``jones_via_bracket`` runs the transfer pass alone, under its work budget
+``TL_BUDGET``; the naive sum is its comparator in the tests, in
+``selftest`` and in ``bench --compare naive``. ``jones_from_bracket``
+applies the writhe correction and rewrites the bracket variable ``A`` into
+the skein variable ``s``. Nothing here touches the recurrence engine, so
+agreement between the two pipelines is a real cross-check.
 
 Convention (pinned by the unknot, Hopf link and trefoil values in the
 tests): for a letter ``x_i`` the pass-through smoothing carries weight
@@ -33,12 +34,14 @@ DELTA = LaurentPoly({2: -1, -2: -1})
 
 # Crossings of the naive sum: 2^24 states, about 0.9 us each on a 2-vCPU host
 NAIVE_CAP = 24
-# Strands of the transfer pass, whose states are at most Catalan(12) matchings
-TL_CAP = 12
-# Strands plus crossings the oracle takes: its transfer pass, about c^2, took
-# 0.9 s at 1,000 crossings on 3 strands and 14 s at 4,000 (2 vCPUs).
-# Keep it at 1,203 or more: the benchmark cross-checks the quartic
-# x1^300 x2^300 x1^300 x2^300 (1,200 crossings on 3 strands) through the oracle
+# Work of the transfer pass: the states it visits after each letter, each
+# weighted by strands plus crossings. 2^24 took 0.2-2.7 s on a 2-vCPU host;
+# it admits the benchmark's x1^300 x2^300 x1^300 x2^300 (5.8 M units)
+TL_BUDGET = 1 << 24
+# Strands plus crossings the oracle takes, checked before any letter, as the
+# budget is after each one. Keep it at 1,203 or more: the benchmark
+# cross-checks the quartic x1^300 x2^300 x1^300 x2^300 (1,200 crossings on
+# 3 strands) through the oracle
 SIZE_CAP = 1 << 12
 
 
@@ -207,48 +210,45 @@ def bracket_naive(word: BraidWord) -> BracketPoly:
     return result
 
 
-def _identity_matching(n: int) -> tuple[int, ...]:
-    # points 0..n-1 are the fixed top boundary, n..2n-1 the working bottom
-    return tuple(range(n, 2 * n)) + tuple(range(n))
-
-
 def bracket_tl(word: BraidWord) -> BracketPoly:
     """Bracket of the closure via the planar matching transfer pass.
 
     Maintains a weighted sum of noncrossing matchings of the boundary
     (at most Catalan(strands) of them) and applies one crossing at a
     time, so the cost is linear in the crossing count for fixed strand
-    count. Refuses more than ``TL_CAP`` strands.
+    count. Raises CapExceeded once the states visited after each letter,
+    each weighted by strands plus crossings, pass ``TL_BUDGET``.
     """
     n = word.strands
-    if n > TL_CAP:
-        raise CapExceeded(f"{n} strands exceed the transfer cap of {TL_CAP}")
-    states: dict[tuple[int, ...], BracketPoly] = {_identity_matching(n): LaurentPoly.monomial(0)}
+    weight = n + word.crossing_count()
+    work = 0
+    # points 0..n-1 are the fixed top boundary, n..2n-1 the working bottom
+    states = {tuple(range(n, 2 * n)) + tuple(range(n)): LaurentPoly.monomial(0)}
     for gen, direction in word.letters():
         pass_w = A_INV if direction > 0 else A
         cap_w = A if direction > 0 else A_INV
-        loop_w = cap_w * DELTA
+        # if p and q are partners, the cap closes a loop and the cup
+        # restores the matching, which the pass-through smoothing keeps
+        kept_w = pass_w + cap_w * DELTA
         p = n + gen - 1
         q = p + 1
         nxt: dict[tuple[int, ...], BracketPoly] = {}
-
-        def bump(key: tuple[int, ...], val: BracketPoly) -> None:
-            prev = nxt.get(key)
-            nxt[key] = val if prev is None else prev + val
-
         for match, coeff in states.items():
-            bump(match, coeff * pass_w)
             a, b = match[p], match[q]
             if a == q:
-                # p and q were already partners: the cap closes a loop and
-                # the cup restores the same matching
-                bump(match, coeff * loop_w)
+                moves = [(match, kept_w)]
             else:
                 rewired = list(match)
                 rewired[a], rewired[b] = b, a
                 rewired[p], rewired[q] = q, p
-                bump(tuple(rewired), coeff * cap_w)
+                moves = [(match, pass_w), (tuple(rewired), cap_w)]
+            for key, w in moves:
+                prev = nxt.get(key)
+                nxt[key] = coeff * w if prev is None else prev + coeff * w
         states = nxt
+        work += len(nxt) * weight
+        if work > TL_BUDGET:
+            raise CapExceeded(f"the transfer pass exceeds its work budget of {TL_BUDGET}")
     by_loops: dict[int, BracketPoly] = {}
     for match, coeff in states.items():
         loops = _closure_loops(match, n)
@@ -259,13 +259,12 @@ def bracket_tl(word: BraidWord) -> BracketPoly:
 def jones_via_bracket(word: BraidWord) -> LaurentPoly:
     """Jones polynomial of the closure from the bracket alone.
 
-    Uses the transfer pass up to ``TL_CAP`` strands and the naive sum above
-    them. Raises CapExceeded above ``SIZE_CAP`` strands and crossings
-    together, before either route starts.
+    Runs the transfer pass at every strand count. Raises CapExceeded above
+    ``SIZE_CAP`` strands and crossings together, before the pass starts,
+    and once the pass exceeds ``TL_BUDGET``.
     """
     _check_size(word)
-    route = bracket_tl if word.strands <= TL_CAP else bracket_naive
-    return jones_from_bracket(word, route(word))
+    return jones_from_bracket(word, bracket_tl(word))
 
 
 def jones_from_bracket(word: BraidWord, value: BracketPoly) -> LaurentPoly:

@@ -188,6 +188,12 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     from . import analysis
 
     if args.exps is not None:
+        # one vector: a sweep option would be dropped without a word
+        sweep = (args.pairs, args.samples, args.max_exp, args.seed)
+        names = ("--pairs", "--samples", "--max-exp", "--seed")
+        given = [name for name, value in zip(names, sweep) if value is not None]
+        if given:
+            raise ValueError(f"--exps cannot be combined with {', '.join(given)}")
         report = analysis.degree_audit(_parse_ints(args.exps))
         if args.json:
             print(json.dumps({**report._asdict(), "bound_met": report.bound_met}))
@@ -206,21 +212,22 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         raise ValueError(f"--pairs must be >= 1, got {args.pairs}")
     if args.samples is not None and args.samples < 1:
         raise ValueError(f"--samples must be >= 1, got {args.samples}")
-    if args.max_exp < 0:
-        raise ValueError(f"--max-exp must be >= 0, got {args.max_exp}")
+    max_exp = 4 if args.max_exp is None else args.max_exp
+    if max_exp < 0:
+        raise ValueError(f"--max-exp must be >= 0, got {max_exp}")
     width = 2 * args.pairs
     if args.samples is None:
         # a base of 2 or more passes the cap at this width, so no huge power is built
-        words = (args.max_exp + 1) ** min(width, AUDIT_CAP.bit_length())
+        words = (max_exp + 1) ** min(width, AUDIT_CAP.bit_length())
     else:
         words = args.samples
     if words * width > AUDIT_CAP:
         raise CapExceeded(f"{words} words of {width} exponents exceed the cap of {AUDIT_CAP}")
-    rng = random.Random(args.seed)
+    rng = random.Random(0 if args.seed is None else args.seed)
     vectors: Iterable[tuple[int, ...]] = (
-        itertools.product(range(args.max_exp + 1), repeat=width)
+        itertools.product(range(max_exp + 1), repeat=width)
         if args.samples is None
-        else (tuple(rng.randint(0, args.max_exp) for _ in range(width)) for _ in range(words))
+        else (tuple(rng.randint(0, max_exp) for _ in range(width)) for _ in range(words))
     )
     checked = 0
     violations = []
@@ -230,14 +237,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         if not report.bound_met:
             violations.append(report)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "checked": checked,
-                    "violations": [v.exponents for v in violations],
-                }
-            )
-        )
+        print(json.dumps({"checked": checked, "violations": [v.exponents for v in violations]}))
     else:
         print(f"checked {checked} words: {len(violations)} violations")
         for v in violations:
@@ -401,8 +401,10 @@ def _build_parser() -> _Parser:
         "--engine",
         choices=("recurrence", "oracle"),
         default="recurrence",
-        help="evaluation route (default recurrence); above 12 strands the oracle "
-        f"runs {_NAIVE_COST}",
+        # restates bracket.TL_BUDGET, as _NAIVE_COST restates NAIVE_CAP
+        help="evaluation route (default recurrence); the oracle runs the bracket "
+        "transfer pass, at most 2^24 units of work (states visited times "
+        "strands plus crossings), at most about 3 s",
     )
     p.set_defaults(func=_cmd_jones)
 
@@ -461,9 +463,9 @@ def _build_parser() -> _Parser:
         help="sweep words with this many pairs: (max-exp + 1)^(2 pairs) words, "
         f"or --samples of them; at most {AUDIT_CAP} exponents in all",
     )
-    p.add_argument("--max-exp", type=int, default=4)
+    p.add_argument("--max-exp", type=int, help="largest exponent of a sweep (default 4)")
     p.add_argument("--samples", type=int, help="sample instead of exhausting")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, help="seed of the samples (default 0)")
     p.set_defaults(func=_cmd_audit)
 
     p = sub.add_parser(

@@ -60,8 +60,7 @@ SKEIN_SPEC = FibSpec(r1=LaurentPoly.monomial(1, -1), r2=LaurentPoly.monomial(3))
 
 LOOP_VALUE = LaurentPoly({1: -1, -1: -1})  # value of one extra unknot component
 
-# Catalan(12): the live matchings of a 12-strand transfer, the size the
-# oracle's strand cap admits
+# Catalan(12): the live matchings of a 12-strand transfer
 TRANSFER_CAP = 208_012
 # Syllables of an expansion or a generating function, 2^k jones calls each:
 # 2^12 seeds on 3 strands took 0.3 s on a 2-vCPU host, 2^14 1.1 s

@@ -160,9 +160,25 @@ class TestCaps:
         with pytest.raises(CapExceeded, match=f"naive cap of {bracket.NAIVE_CAP}"):
             bracket_naive(parse_braid(f"B2: x1^{bracket.NAIVE_CAP + 1}"))
 
-    def test_tl_cap(self):
-        with pytest.raises(CapExceeded, match=f"transfer cap of {bracket.TL_CAP}"):
-            bracket_tl(parse_braid(f"B{bracket.TL_CAP + 1}: x1"))
+    def test_transfer_budget_refuses_the_a1000_quartic(self):
+        # the one refusal at the real budget: 4,000 crossings on 3 strands
+        word = parse_braid("B3: x1^1000 x2^1000 x1^1000 x2^1000")
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=f"work budget of {bracket.TL_BUDGET}"):
+            jones_via_bracket(word)
+        assert time.perf_counter() - start < 3.0
+
+    @pytest.mark.parametrize("crossings", [1, 3, 8])
+    def test_transfer_budget_counts_states_by_size(self, monkeypatch, crossings):
+        # B2: x1^c holds 2 states after each letter, each weighted by 2 + c:
+        # admitted at exactly that work, refused one unit below it
+        word = parse_braid(f"B2: x1^{crossings}")
+        work = 2 * crossings * (2 + crossings)
+        monkeypatch.setattr(bracket, "TL_BUDGET", work)
+        assert jones_via_bracket(word) == jones_from_bracket(word, bracket_naive(word))
+        monkeypatch.setattr(bracket, "TL_BUDGET", work - 1)
+        with pytest.raises(CapExceeded, match=f"work budget of {work - 1}"):
+            jones_via_bracket(word)
 
     def test_delta_powers(self):
         for n in range(65):
@@ -179,8 +195,8 @@ class TestCaps:
 
     @pytest.mark.parametrize("strands", [12, 13])
     def test_size_cap_before_any_letter(self, strands):
-        # 10^12 letters would take either route days: refused at once, on
-        # the transfer's side of its strand cap and on the naive sum's
+        # 10^12 letters would take the transfer pass days: refused at once by
+        # the size cap, before the pass starts, and by the naive sum's own cap
         word = parse_braid(f"B{strands}: x1^1000000000000 x2 x1")
         start = time.perf_counter()
         with pytest.raises(CapExceeded, match=f"cap of {bracket.SIZE_CAP}"):
@@ -189,16 +205,14 @@ class TestCaps:
             bracket_naive(word)
         assert time.perf_counter() - start < 0.1
 
-    def test_route_selection_respects_strand_cap(self, monkeypatch):
-        # the strand count alone picks the route: the transfer pass up to
-        # TL_CAP strands, the naive sum above; the other route would raise
+    @pytest.mark.parametrize("strands", [12, 13, 24])
+    def test_one_route_at_every_strand_count(self, monkeypatch, strands):
+        # the transfer pass answers at every strand count; the naive sum,
+        # its comparator, is never called
         def unreachable(word):
-            raise AssertionError(f"wrong route for {word.text()}")
+            raise AssertionError(f"the naive sum ran on {word.text()}")
 
-        for strands, other in [(12, "bracket_naive"), (13, "bracket_tl")]:
-            gens = " ".join(f"x{g}" for g in range(1, strands))
-            word = parse_braid(f"B{strands}: {gens} x1^-2 x{strands - 1}")
-            expected = jones_from_bracket(word, bracket_naive(word))
-            with monkeypatch.context() as patch:
-                patch.setattr(bracket, other, unreachable)
-                assert jones_via_bracket(word) == expected, strands
+        word = parse_braid(f"B{strands}: x1 x2 x{strands - 1} x1^-2 x{strands - 1} x2")
+        expected = jones_from_bracket(word, bracket_naive(word))
+        monkeypatch.setattr(bracket, "bracket_naive", unreachable)
+        assert jones_via_bracket(word) == expected

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -135,20 +136,25 @@ class TestJones:
         assert code == 1
         assert "x5" in err
 
-    # above the transfer's 12-strand cap the oracle is the naive state sum
+    # the oracle's transfer pass runs at every strand count, under its budget
     WIDE = "B13: x1 x2 x3 x4 x5 x6 x7 x8 x9 x10 x11 x12 x1^-2 x12"
 
     def test_oracle_above_twelve_strands(self, capsys):
-        code, via_oracle, err = run(capsys, "jones", self.WIDE, "--engine", "oracle")
-        assert (code, err) == (0, "")
-        _, direct, _ = run(capsys, "jones", self.WIDE)
-        assert via_oracle == direct
+        # 15 crossings, and 25, past the naive sum's cap of 24
+        for word in (self.WIDE, self.WIDE + " x1^-5 x2^-3 x12^2"):
+            code, via_oracle, err = run(capsys, "jones", word, "--engine", "oracle")
+            assert (code, err) == (0, "")
+            _, direct, _ = run(capsys, "jones", word)
+            assert via_oracle == direct
 
-    def test_oracle_above_twelve_strands_cap(self, capsys):
-        word = self.WIDE + " x1^-5 x2^-3 x12^2"  # 25 crossings
+    def test_oracle_above_twelve_strands_cap(self, capsys, monkeypatch):
+        # 18 crossings that all commute: 2^18 matchings, past the real budget
+        # after about 2.7 s; a budget of 2^16 refuses them at once
+        word = "B40: " + " ".join(f"x{g}" for g in range(1, 36, 2))
+        monkeypatch.setattr(bracket, "TL_BUDGET", 1 << 16)
         code, out, err = run(capsys, "jones", word, "--engine", "oracle")
         assert (code, out) == (1, "")
-        assert "25 crossings exceed the naive cap of 24" in err
+        assert "exceeds its work budget of 65536" in err
         assert "--engine recurrence" in err
         assert "Traceback" not in err
 
@@ -561,13 +567,20 @@ class TestUsage:
 
     @pytest.mark.parametrize("command", ["jones", "bench"])
     def test_naive_cap_help_states_its_cost(self, capsys, command):
-        # the --engine or --compare help that selects the naive sum
+        # the --engine help states the oracle's budget, the --compare help
+        # the naive sum's cap
         with pytest.raises(SystemExit) as exc:
             main([command, "--help"])
         assert exc.value.code == 0
         help_text = " ".join(capsys.readouterr().out.split())
-        option = {"jones": "--engine {recurrence,oracle} ", "bench": "--compare {naive} "}[command]
-        cost = f"{bracket.NAIVE_CAP} crossings, 2^{bracket.NAIVE_CAP} states, about 15 s"
+        budget = bracket.TL_BUDGET.bit_length() - 1
+        option, cost = {
+            "jones": ("--engine {recurrence,oracle} ", f"at most 2^{budget} units of work"),
+            "bench": (
+                "--compare {naive} ",
+                f"{bracket.NAIVE_CAP} crossings, 2^{bracket.NAIVE_CAP} states, about 15 s",
+            ),
+        }[command]
         assert cost in help_text.partition(option)[2]
 
 
@@ -764,6 +777,22 @@ class TestArgvGrammar:
             signal.signal(signal.SIGALRM, previous)
         assert code in (0, 1, 2), (argv, code)
         assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        _options(pairs=INTS, samples=INTS, max_exp=INTS, seed=INTS).filter(bool),
+        st.sampled_from(([], ["--json"])),
+    )
+    def test_audit_exps_refuses_sweep_options(self, options, mode):
+        # any value of any sweep option, refused before the vector is audited
+        argv = ["audit", "--exps", "3,1,3,1", *options, *mode]
+        out, err = io.StringIO(), io.StringIO()
+        audit = mock.patch.object(analysis, "degree_audit", side_effect=AssertionError(argv))
+        with audit, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        names = ", ".join(arg for arg in options if arg.startswith("--"))
+        assert (code, out.getvalue()) == (1, ""), argv
+        assert err.getvalue() == f"braidjones: --exps cannot be combined with {names}\n"
 
 
 class TestImportBoundary:

@@ -22,7 +22,7 @@ import random
 from typing import Callable, NamedTuple, Sequence
 
 from .braid import BraidWord, CapExceeded, ExponentFamily, InvariantViolation, Syllable
-from .engine import LOOP_VALUE, jones, step_up
+from .engine import LOOP_VALUE, jones
 from .laurent import ONE, S, LaurentPoly
 
 
@@ -160,8 +160,8 @@ def _values(family: ExponentFamily) -> Callable[[int], LaurentPoly]:
 def two_strand_closed_form(exp: int) -> LaurentPoly:
     """Jones value of the closure of x1^exp on two strands.
 
-    Small exponents come from the recurrence; for exp >= 4 the value is
-    the alternating sum
+    Exponent 0 is the two-component unlink, ``LOOP_VALUE``; for exp >= 1
+    the value is the alternating sum
 
         -s^(3a-1) + s^(3a-3) - ... +- s^(a+3)  plus  (-1)^(a+1) s^(a-1)
 
@@ -170,11 +170,8 @@ def two_strand_closed_form(exp: int) -> LaurentPoly:
     """
     if exp < 0:
         return two_strand_closed_form(-exp).inverse_variable()
-    if exp <= 3:
-        v0, v1 = LOOP_VALUE, ONE
-        for _ in range(exp):
-            v0, v1 = v1, step_up(v0, v1)
-        return v0
+    if exp == 0:
+        return LOOP_VALUE
     a = exp
     terms = [(3 * a - 1 - 2 * j, -1 if j % 2 == 0 else 1) for j in range(a - 1)]
     terms.append((a - 1, 1 if a % 2 else -1))

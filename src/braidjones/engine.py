@@ -60,7 +60,7 @@ SKEIN_SPEC = FibSpec(r1=LaurentPoly.monomial(1, -1), r2=LaurentPoly.monomial(3))
 
 LOOP_VALUE = LaurentPoly({1: -1, -1: -1})  # value of one extra unknot component
 
-# Catalan(12): the live matchings of a 12-strand transfer
+# Catalan(12): the cached matching tables are dropped past this many entries
 TRANSFER_CAP = 208_012
 # Syllables of an expansion or a generating function, 2^k jones calls each:
 # 2^12 seeds on 3 strands took 0.3 s on a 2-vCPU host, 2^14 1.1 s
@@ -176,8 +176,8 @@ def jones(word: BraidWord) -> LaurentPoly:
     are read once; nothing is cached. Raises CapExceeded above
     ``STRAND_CAP`` strands or when a packed state of a part or twist could
     exceed ``PACKED_BITS_CAP`` bits, both before any transfer runs, and
-    when a transfer would hold more than ``TRANSFER_CAP`` matchings at once
-    or its live states more than ``LIVE_BITS_CAP`` bits together.
+    after a syllable whose live states could exceed ``LIVE_BITS_CAP`` bits
+    together.
     """
     width, factors = _factors(word)
     packed, low, sign = 1, 0, 1
@@ -192,9 +192,9 @@ def jones(word: BraidWord) -> LaurentPoly:
 def _factors(word: BraidWord) -> tuple[int, list[tuple[int, Syllables, int, int]]]:
     """Digit width and (strands, part, count, span) factors of ``word``'s value.
 
-    The evaluator's one admission: CapExceeded above ``STRAND_CAP``
-    strands, or where ``span``, the bits one packed state may reach,
-    exceeds ``PACKED_BITS_CAP``, before any transfer runs.
+    Admission before any transfer runs, which then checks only
+    ``LIVE_BITS_CAP``: CapExceeded above ``STRAND_CAP`` strands, or where
+    ``span``, the bits one packed state may reach, exceeds ``PACKED_BITS_CAP``.
     """
     # before the coefficient bound builds its 2^(n-1)
     if word.strands > STRAND_CAP:
@@ -436,9 +436,8 @@ def _transfer(strands: int, syls: Syllables, width: int, span: int) -> tuple[int
     (-A)^(3w) the A^-w taken out becomes (-1)^w s^w. The closure weighs
     each matching by delta^(loops - 1) with delta = -s - s^-1, and one
     exact division removes (u + 1)^kept, kept the number of long
-    syllables. Raises CapExceeded after a syllable when its live states
-    are more than ``TRANSFER_CAP``, or at ``span`` bits each could exceed
-    ``LIVE_BITS_CAP`` bits together.
+    syllables. Raises CapExceeded after a syllable whose live states, at
+    ``span`` bits each, could exceed ``LIVE_BITS_CAP`` bits together.
     """
     table = _matchings(strands)
     odd = table.odd
@@ -487,11 +486,11 @@ def _transfer(strands: int, syls: Syllables, width: int, span: int) -> tuple[int
                     x = e0[odd[m]]
                     v = c << (x + e1)
                     nxt[to] = get(to, 0) + (c << x) + (-v if even else v)
-        if len(nxt) > TRANSFER_CAP:
-            raise CapExceeded(
-                f"{len(nxt)} transfer states on {strands} strands exceed "
-                f"the cap of {TRANSFER_CAP}"
-            )
+        # the one refusal in the loop, and the bound on the count of states:
+        # up to 12 strands there are at most Catalan(12) matchings, and a part
+        # on 13 or more is uncut, so k >= 24, its width is 40 bits or more and
+        # its span 40 (13 + 48) or more; Catalan(12) + 1 such states pass the
+        # cap, which must stay below 5 * 10^8 bits to keep that bound
         if len(nxt) * span > LIVE_BITS_CAP:
             raise CapExceeded(
                 f"{len(nxt)} live transfer states of up to {span} bits each "

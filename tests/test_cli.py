@@ -98,11 +98,11 @@ class TestJones:
         assert out == (LaurentPoly({5: -1, 1: -1}) ** 599).text() + "\n"
 
     def test_transfer_cap_exits_one(self, capsys, monkeypatch):
-        monkeypatch.setattr(engine, "TRANSFER_CAP", 2)
+        monkeypatch.setattr(engine, "LIVE_BITS_CAP", 2)
         code, out, err = run(capsys, "jones", "B3: x1 x2 x1 x2")
         assert code == 1
         assert out == ""
-        assert "cap of 2" in err
+        assert "cap of 2 bits" in err
         assert "--engine" not in err  # no cap flag to raise on this route
 
     def test_huge_exponent_exits_one(self, capsys):

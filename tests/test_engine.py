@@ -253,10 +253,12 @@ class TestEngine:
 
     def test_transfer_cap(self, monkeypatch):
         assert bracket.CapExceeded is CapExceeded
-        monkeypatch.setattr(engine, "TRANSFER_CAP", 3)
-        with pytest.raises(CapExceeded, match="cap of 3"):
+        # the two states after the first syllable are 256 bits each; the
+        # two-strand twists below hold two states of at most 48 bits
+        monkeypatch.setattr(engine, "LIVE_BITS_CAP", 100)
+        with pytest.raises(CapExceeded, match="cap of 100 bits"):
             jones(parse_braid("B4: x1 x2 x3 x1 x2 x3"))
-        # words that cut into two-strand pieces never reach the transfer
+        # words that cut into two-strand pieces never reach a large transfer
         assert jones(parse_braid("B4: x1^2 x2^3 x3^-2")) == (
             LaurentPoly({5: -1, 1: -1})
             * LaurentPoly({8: -1, 6: 1, 2: 1})
@@ -307,18 +309,27 @@ class TestEngine:
         # each state is under the one-state cap, but 429 matchings of them
         # on 7 strands would need about 1 GB
         half = "x1^-10000 x3^10000 x5^-10000 x2^10000 x4^-10000 x6^10000"
-        word = parse_braid(f"B7: {half} {half}")
+        # on 16 strands the cap is also the only bound on the count of states
+        rng, gen, syllables = random.Random(9), 0, []
+        for _ in range(80):
+            gen = rng.choice([g for g in range(1, 16) if g != gen])
+            syllables.append(Syllable(gen, rng.choice((1, -1))))
         cap = f"cap of {engine.LIVE_BITS_CAP} bits"
-        start = time.perf_counter()
-        tracemalloc.start()
-        try:
+        for word in (parse_braid(f"B7: {half} {half}"), BraidWord(16, tuple(syllables))):
+            start = time.perf_counter()
             with pytest.raises(CapExceeded, match=cap):
                 jones(word)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert time.perf_counter() - start < 1.0
-        assert peak < engine.LIVE_BITS_CAP // 8  # bytes
+            assert time.perf_counter() - start < 1.0
+            # memory is traced on a second call: tracing slows the first,
+            # which fills the 16-strand matching tables, six- to tenfold
+            tracemalloc.start()
+            try:
+                with pytest.raises(CapExceeded, match=cap):
+                    jones(word)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < engine.LIVE_BITS_CAP // 8  # bytes
 
     def test_wide_words_agree_with_oracle(self):
         # every generator twice, so the transfer runs on all 6-9 strands and

@@ -18,7 +18,9 @@ which :func:`expansion_value` contracts by ``general_term`` and
 :class:`GeneratingFunction` are the paper's claims, checks on :func:`jones`.
 
 :func:`jones` evaluates a word in two stages, with no recursion and no
-call into the bracket oracle. First it splits the closure at every
+call into the bracket oracle, on the word :func:`_reduce` leaves: two
+syllables on one generator merge where only far-commuting ones lie between,
+across the wrap too. First it splits the closure at every
 generator that occurs in at most one syllable: such a generator with
 exponent a contributes the factor V(T(2, a)) of the two-strand torus link
 (the unlink of two components when a = 0, the unknot when a = +-1), and the
@@ -51,7 +53,7 @@ import itertools
 import sys
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .braid import BraidWord, CapExceeded, Syllable, reduce_cyclic
+from .braid import BraidWord, CapExceeded, Syllable
 from .fibonacci import FibSpec, general_term, s_basis
 from .laurent import LaurentPoly, NotDivisible
 
@@ -195,13 +197,16 @@ def _factors(word: BraidWord) -> tuple[int, list[tuple[int, Syllables, int, int]
     Admission before any transfer runs, which then checks only
     ``LIVE_BITS_CAP``: CapExceeded above ``STRAND_CAP`` strands, or where
     ``span``, the bits one packed state may reach, exceeds ``PACKED_BITS_CAP``.
+    The width, spans and cuts are the reduced word's (:func:`_reduce`), on
+    which the transfer runs. A merge grows neither a span, |a + b| + 1 for
+    |a| + |b| + 2, nor the width, so admission only gets looser.
     """
     # before the coefficient bound builds its 2^(n-1)
     if word.strands > STRAND_CAP:
         raise CapExceeded(f"{word.strands} strands exceed the cap of {STRAND_CAP}")
     # one digit width for every part and twist: only the product is read
     # back, and its digits are the coefficients of this word's value
-    syls = reduce_cyclic((s.gen, s.exp) for s in word.syllables)
+    syls = _reduce(word.syllables)
     width = _width(word.strands, [a for _, a in syls])
     twists: dict[int, int] = {}  # exponent of a lone generator -> count
     factors = [(n, part, 1) for n, part in _split_lone(word.strands, syls, twists)]
@@ -231,14 +236,14 @@ def _split_lone(
     skein reduction of x_g^a against the split union (a = 0) and the
     connected sum (a = 1) of the two sides gives
     V(word) = V(below) V(T(2, a)) V(above). Each cut adds its exponent
-    (0 if x_g is absent) to ``twists``; the pieces are cut again, since
+    (0 if x_g is absent) to ``twists``; ``syls`` comes reduced by
+    :func:`_reduce`, and each piece is reduced again and cut again, since
     syllables that the cut separated may merge.
     """
     parts: list[tuple[int, Syllables]] = []
     todo = [(strands, syls)]
     while todo:
         strands, syls = todo.pop()
-        syls = reduce_cyclic(syls)
         count = [0] * strands
         last = [0] * strands
         for gen, exp in syls:
@@ -263,8 +268,49 @@ def _split_lone(
                 groups[i].append((gen - bounds[i], exp))
         for i, group in enumerate(groups):
             if group:
-                todo.append((bounds[i + 1] - bounds[i], group))
+                todo.append((bounds[i + 1] - bounds[i], _reduce(group)))
     return parts
+
+
+def _reduce(syls: Iterable[tuple[int, int]]) -> Syllables:
+    """A closure's syllables, each merged into an earlier one on its generator
+    where only far-commuting syllables lie between.
+
+    Generators at least two apart commute, so x_g^b passes them and joins
+    x_g^a as x_g^(a + b); a sum of zero, like an exponent zero, is 1 and
+    leaves the word. A closure is unchanged by conjugation, so the leading
+    syllable then merges into the rest by the same rule while one does. No
+    merge unblocks another: deleting x_g^0 unblocks only a syllable next to
+    g, which would have stopped the x_g that cancelled. So the result
+    reduces to itself, and is no longer than :func:`braid.reduce_cyclic`'s.
+    """
+    out: Syllables = []
+    for gen, exp in syls:
+        if exp and not _merge_back(out, 0, gen, exp):
+            out.append((gen, exp))
+    head = 0
+    while len(out) - head > 1 and _merge_back(out, head + 1, *out[head]):
+        head += 1
+    return out[head:]
+
+
+def _merge_back(out: Syllables, low: int, gen: int, exp: int) -> bool:
+    """Whether x_gen^exp, put after ``out[low:]``, merged into its last syllable
+    on gen past far-commuting ones; a sum of zero deletes that syllable."""
+    i = len(out)
+    while i > low:  # a range object would cost more than the look-back
+        i -= 1
+        g = out[i][0]
+        if g == gen:
+            exp += out[i][1]
+            if exp:
+                out[i] = (gen, exp)
+            else:
+                del out[i]
+            return True
+        if g - gen in (1, -1):
+            return False
+    return False
 
 
 class _Matchings:
@@ -399,6 +445,10 @@ def _coefficient_bound(strands: int, exps: Iterable[int]) -> int:
     its longest member i leaves sum over subsets of the later members,
     prod_{j>i} (1 + a_(j)), and T empty adds 1. As prod (1 + a_j) =
     1 + sum_i a_(i) prod_{j>i} (1 + a_(j)), F never exceeds prod (1 + |a|).
+    The exponents are the reduced word's, on which the transfer runs. F sums
+    over subsets T the product of all lengths in T but the longest, so a
+    merge of a and b never grows it: as |a + b| <= |a| + |b| and 1 + |a + b|
+    <= (1 + |a|)(1 + |b|), T with a + b counts at most T with a, b and both.
     """
     total = grow = 1
     for a in sorted(map(abs, exps)):  # from the shortest sum up

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import inspect
 import random
 import time
@@ -18,6 +19,7 @@ from braidjones.braid import (
     Syllable,
     parse_braid,
     parse_family,
+    reduce_cyclic,
 )
 from braidjones.bracket import jones_via_bracket
 from braidjones.engine import (
@@ -56,6 +58,30 @@ def wide_words(draw):
     syllable = st.tuples(st.integers(1, strands - 1), st.integers(-30, 30))
     syls = draw(st.lists(syllable, max_size=8))
     return BraidWord(strands, tuple(Syllable(g, e) for g, e in syls))
+
+
+@st.composite
+def far_words(draw):
+    # zero exponents and far-commuting neighbours, for the reduction
+    strands = draw(st.integers(2, 8))
+    syllable = st.tuples(st.integers(1, strands - 1), st.integers(-3, 3))
+    syls = draw(st.lists(syllable, max_size=10))
+    return BraidWord(strands, tuple(Syllable(g, e) for g, e in syls))
+
+
+def pinned_draw(strands: int, count: int, rng: random.Random) -> BraidWord:
+    """A word of the pinned draw: no generator twice in a row, |a| of 1-3."""
+    syls, prev = [], 0
+    for _ in range(count):
+        prev = rng.choice([g for g in range(1, strands) if g != prev])
+        syls.append(Syllable(prev, rng.choice((1, -1)) * rng.randint(1, 3)))
+    return BraidWord(strands, tuple(syls))
+
+
+def pinned_words() -> list[BraidWord]:
+    """The four pinned words, drawn in this order from one random.Random(1)."""
+    rng = random.Random(1)
+    return [pinned_draw(n, k, rng) for n, k in ((10, 60), (12, 40), (12, 80), (12, 160))]
 
 
 @st.composite
@@ -393,6 +419,74 @@ class TestEngine:
                 tuple(Syllable(s.gen, -s.exp) for s in word.syllables),
             )
             assert jones(mirror) == jones(word).inverse_variable()
+
+
+class TestReduce:
+    @settings(max_examples=60, deadline=None)
+    @given(far_words(), st.data())
+    def test_far_swap_keeps_value(self, word, data):
+        value = jones(word)
+        syls = list(word.syllables)
+        far = [i for i in range(len(syls) - 1) if abs(syls[i].gen - syls[i + 1].gen) > 1]
+        if far:
+            i = data.draw(st.sampled_from(far))
+            syls[i], syls[i + 1] = syls[i + 1], syls[i]
+            assert jones(BraidWord(word.strands, tuple(syls))) == value
+        if word.crossing_count() <= 24:
+            assert jones_via_bracket(word) == value
+
+    @settings(max_examples=150, deadline=None)
+    @given(far_words())
+    def test_idempotent_and_never_longer(self, word):
+        once = engine._reduce(word.syllables)
+        assert engine._reduce(once) == once
+        assert len(once) <= len(reduce_cyclic(word.syllables))
+
+    @pytest.mark.parametrize(
+        "text, reduced, merged",
+        [
+            # x1^2 passes x3 to reach x1
+            ("B4: x1^2 x3 x1 x2", [(1, 3), (3, 1), (2, 1)], "B4: x1^3 x3 x2"),
+            # x1^-2 cancels x1^2, then x3 cancels x3^-1
+            ("B4: x1^2 x3^-1 x1^-2 x3", [], "B4:"),
+            # the leading x1 passes x3 at the end to reach x1^2
+            ("B4: x1 x2 x1^2 x3", [(2, 1), (1, 3), (3, 1)], "B4: x2 x1^3 x3"),
+        ],
+    )
+    def test_pinned_merges(self, text, reduced, merged):
+        word = parse_braid(text)
+        assert engine._reduce(word.syllables) == reduced
+        assert len(reduce_cyclic(word.syllables)) > len(reduced)
+        assert jones(word) == jones(parse_braid(merged)) == jones_via_bracket(word)
+
+    @pytest.mark.parametrize(
+        "index, digest", [(0, "a95d022d7107d37b"), (1, "9966914bbdbbc768")]
+    )
+    def test_pinned_draw_answered(self, index, digest):
+        # ordinary knot diagrams on 10 and 12 strands: the live-bits cap
+        # admits them only once far-commuting syllables merge
+        word = pinned_words()[index]
+        value = jones(word)
+        assert hashlib.sha256(value.text().encode()).hexdigest()[:16] == digest
+        assert sum(c for _, c in value.terms()) == (-2) ** (word.components() - 1)
+
+    @pytest.mark.parametrize("index", [2, 3])
+    def test_pinned_draw_still_refused(self, index):
+        word = pinned_words()[index]
+        start = time.perf_counter()
+        with pytest.raises(CapExceeded, match=f"cap of {engine.LIVE_BITS_CAP} bits"):
+            jones(word)
+        assert time.perf_counter() - start < 2.0
+
+    def test_cancelled_huge_exponent_is_fast(self):
+        # x1^(10^12) meets x1^-(10^12) across x3 and leaves the word
+        big = 10**12
+        word = parse_braid(f"B4: x1^{big} x3 x1^-{big} x2 x1 x3 x2")
+        value = jones(parse_braid("B4: x3 x2 x1 x3 x2"))
+        assert jones(word) == value
+        start = time.perf_counter()
+        assert expansion_value(word) == value
+        assert time.perf_counter() - start < 0.1
 
 
 class TestUnpack:

@@ -53,7 +53,7 @@ import itertools
 import sys
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .braid import BraidWord, CapExceeded, Syllable
+from .braid import BraidWord, CapExceeded, Syllable, reduce_cyclic
 from .fibonacci import FibSpec, general_term, s_basis
 from .laurent import LaurentPoly, NotDivisible
 
@@ -175,17 +175,21 @@ def jones(word: BraidWord) -> LaurentPoly:
     Exact over the integers in the variable s. One digit width serves the
     whole call: each cut part and twist is evaluated packed at that width,
     the packed values are multiplied as integers, and the product's digits
-    are read once; nothing is cached. Raises CapExceeded above
-    ``STRAND_CAP`` strands or when a packed state of a part or twist could
-    exceed ``PACKED_BITS_CAP`` bits, both before any transfer runs, and
-    after a syllable whose live states could exceed ``LIVE_BITS_CAP`` bits
-    together.
+    are read once; nothing is cached. A factor enters that product as it
+    is, never times 1 or to the first power: each such copy would be one
+    more pass over an integer of up to hundreds of kilobits. Raises
+    CapExceeded above ``STRAND_CAP`` strands or when a packed state of a
+    part or twist could exceed ``PACKED_BITS_CAP`` bits, both before any
+    transfer runs, and after a syllable whose live states could exceed
+    ``LIVE_BITS_CAP`` bits together.
     """
     width, factors = _factors(word)
     packed, low, sign = 1, 0, 1
     for strands, part, count, span in factors:
         quot, part_low, part_sign = _transfer(strands, part, width, span)
-        packed *= quot**count
+        if count > 1:
+            quot **= count
+        packed = quot if packed == 1 else packed * quot
         low += part_low * count
         sign *= part_sign**count
     return _unpack(packed, width, low, sign)
@@ -282,11 +286,15 @@ def _reduce(syls: Iterable[tuple[int, int]]) -> Syllables:
     syllable then merges into the rest by the same rule while one does. No
     merge unblocks another: deleting x_g^0 unblocks only a syllable next to
     g, which would have stopped the x_g that cancelled. So the result
-    reduces to itself, and is no longer than :func:`braid.reduce_cyclic`'s.
+    reduces to itself. The pass runs on :func:`braid.reduce_cyclic`'s word,
+    and only merges, so it is never longer than that word: run on the word
+    as given, the pass can cancel a last syllable against an inner one
+    where the wrap would have cancelled it against the first and then
+    joined two more (``B4: x1^-1 x3 x2 x1^-1 x3 x1``).
     """
     out: Syllables = []
-    for gen, exp in syls:
-        if exp and not _merge_back(out, 0, gen, exp):
+    for gen, exp in reduce_cyclic(syls):
+        if not _merge_back(out, 0, gen, exp):
             out.append((gen, exp))
     head = 0
     while len(out) - head > 1 and _merge_back(out, head + 1, *out[head]):
@@ -486,8 +494,12 @@ def _transfer(strands: int, syls: Syllables, width: int, span: int) -> tuple[int
     (-A)^(3w) the A^-w taken out becomes (-1)^w s^w. The closure weighs
     each matching by delta^(loops - 1) with delta = -s - s^-1, and one
     exact division removes (u + 1)^kept, kept the number of long
-    syllables. Raises CapExceeded after a syllable whose live states, at
-    ``span`` bits each, could exceed ``LIVE_BITS_CAP`` bits together.
+    syllables. Long syllables and the closure make no pass over a state
+    that only copies it: a first write stores its term as it is, a negative
+    term is subtracted, and nothing is shifted by 0 or multiplied or
+    divided by (u + 1)^0. Raises CapExceeded after a syllable whose live
+    states, at ``span`` bits each, could exceed ``LIVE_BITS_CAP`` bits
+    together.
     """
     table = _matchings(strands)
     odd = table.odd
@@ -524,18 +536,25 @@ def _transfer(strands: int, syls: Syllables, width: int, span: int) -> tuple[int
             id1 = id0 + width
             e0 = (id0, id1)  # the e_g shift out of an even state, an odd state
             loop1 = loop + width
+            # id0 is 0 when a > 0, loop when a < 0: a shift by 0 would copy c
             for m, c in states.items():
                 to = act.get(m)
                 if to is None:
                     to = table.apply(gen, m)
                 if to == m:
-                    v = (c << loop) + (c << loop1)
-                    nxt[m] = get(m, 0) + (v if even else -v)
+                    # in every transfer tried, a state that e_g maps to m came
+                    # first and wrote nxt[m], so the 0 (a copy) never arose
+                    v = (c << loop if loop else c) + (c << loop1)
+                    old = get(m, 0)
+                    nxt[m] = old + v if even else old - v
                 else:
-                    nxt[m] = (c << id0) + (c << id1)
+                    nxt[m] = (c << id0 if id0 else c) + (c << id1)
                     x = e0[odd[m]]
-                    v = c << (x + e1)
-                    nxt[to] = get(to, 0) + (c << x) + (-v if even else v)
+                    w = c << x if x else c
+                    v = c << (x + e1) if x + e1 else c
+                    v = w - v if even else w + v
+                    old = get(to)
+                    nxt[to] = v if old is None else old + v
         # the one refusal in the loop, and the bound on the count of states:
         # up to 12 strands there are at most Catalan(12) matchings, and a part
         # on 13 or more is uncut, so k >= 24, its width is 40 bits or more and
@@ -551,17 +570,24 @@ def _transfer(strands: int, syls: Syllables, width: int, span: int) -> tuple[int
     loop_count = table.loop_count  # filled for every matching a transfer meets
     for m, c in states.items():
         loops = loop_count[m]
-        by_loops[loops] = by_loops.get(loops, 0) + c
-    total = 0
+        old = by_loops.get(loops)
+        by_loops[loops] = c if old is None else old + c
+    quot = 0
     for loops, c in by_loops.items():
         # s^odd s^(n-1) delta^(loops-1)
         #   = (-1)^(loops-1) s^(n-loops+odd) (u+1)^(loops-1), n-loops+odd even
         up = (strands - loops + ((strands + loops) & 1)) // 2
-        v = (c << up * width) * step ** (loops - 1)
-        total += v if loops % 2 else -v
-    quot, rem = divmod(total, step**kept)
-    if rem:
-        raise NotDivisible(f"transfer total is not divisible by (s^2+1)^{kept}")
+        v = c << up * width if up else c
+        if loops > 1:
+            v *= step ** (loops - 1)
+        if not quot:
+            quot = v if loops % 2 else -v
+        else:
+            quot = quot + v if loops % 2 else quot - v
+    if kept:
+        quot, rem = divmod(quot, step**kept)
+        if rem:
+            raise NotDivisible(f"transfer total is not divisible by (s^2+1)^{kept}")
     writhe = sum(a for _, a in syls)
     return quot, shift - (strands - 1) + writhe, -1 if writhe % 2 else 1
 
@@ -577,19 +603,23 @@ def _unpack(packed: int, width: int, low: int, sign: int) -> LaurentPoly:
     signed limb up to 64 bits, else as 64-bit limbs, the top one signed,
     joined by map. A 5-, 6- or 7-byte digit is first widened to an 8-byte
     slot: its bytes by strided copies, and above them its top byte's sign,
-    spread by one ``bytes.translate``. Zero digits at the low end are shifted
-    off first; the digits and a range of their exponents then go to the
-    ring's trusted constructor as they are, with no dict.
+    spread by one ``bytes.translate``. The value is negated only when
+    ``sign`` is -1. Zero digits at the low end are counted from those
+    bytes and skipped in the read; the digits and a range of their
+    exponents then go to the ring's trusted constructor as they are, with
+    no dict.
     """
-    # most values start with a zero digit or two, which would cost a compress
-    zeros = ((packed & -packed).bit_length() - 1) // width if packed else 0
-    packed, low = packed >> zeros * width, low + 2 * zeros
     count = packed.bit_length() // width + 1
     size = width // 8
     bias = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
-    twos = (sign * packed + bias) ^ bias
+    twos = ((packed if sign > 0 else -packed) + bias) ^ bias
     little = sys.byteorder == "little"
     raw = twos.to_bytes(count * size, sys.byteorder)
+    # most values start with a zero digit or two, which would cost a compress.
+    # A digit's bytes are all zero exactly when the digit is, and the lowest
+    # nonzero digit may have zero low bytes, so the count floors
+    nonzero = raw.lstrip(b"\0") if little else raw.rstrip(b"\0")
+    zeros = (len(raw) - len(nonzero)) // size
     if size in (5, 6, 7):
         # a slot holds the digit's bytes at its low end, the sign at its high end
         pad = 8 - size
@@ -606,12 +636,13 @@ def _unpack(packed: int, width: int, low: int, sign: int) -> LaurentPoly:
     fmt = "bhiq"[limb.bit_length() - 1]
     order = 1 if little else -1  # least significant limb first
     # a list, which the value keeps; the constructor reads it up to three times
-    digits = view.cast(fmt)[::order][per - 1 :: per].tolist()
-    lows = view.cast(fmt.upper())[::order]
+    start = zeros * per  # the first limb of the lowest nonzero digit
+    digits = view.cast(fmt)[::order][start + per - 1 :: per].tolist()
+    lows = view.cast(fmt.upper())[::order][start:]
     for j in range(per - 2, -1, -1):
         high = map(int.__lshift__, digits, itertools.repeat(64))
         digits = list(map(int.__add__, high, lows[j::per]))
-    return LaurentPoly._make(range(low, low + 2 * count, 2), digits)
+    return LaurentPoly._make(range(low + 2 * zeros, low + 2 * count, 2), digits)
 
 
 class GeneratingFunction(NamedTuple):

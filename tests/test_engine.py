@@ -437,6 +437,10 @@ class TestReduce:
 
     @settings(max_examples=150, deadline=None)
     @given(far_words())
+    # cancelling the last x1 against the inner x1^-1 would leave the two x3
+    # apart, where reduce_cyclic's wrap cancels it against the first and
+    # joins them: 4 syllables against 3
+    @example(parse_braid("B4: x1^-1 x3 x2 x1^-1 x3 x1"))
     def test_idempotent_and_never_longer(self, word):
         once = engine._reduce(word.syllables)
         assert engine._reduce(once) == once
@@ -499,8 +503,23 @@ class TestUnpack:
         # no digit zero, the top one positive: no digit to drop
         dense = [rng.choice((1, -1)) * rng.randint(1, top) for _ in range(200)]
         dense += [-top, top, -1, 1, top]
-        # [0] packs to 0, which has no lowest set bit to count zero digits by
-        for digits in (edges + [1], edges + [-1], edges + noise + [-top], [top], dense, [0]):
+        # a lowest nonzero digit whose low bytes are zero (256 at width 16,
+        # 2^32 at 40), of either sign: zero bytes, floored to whole digits,
+        # count the zero digits
+        byte = 1 << width - 8
+        # [0] packs to 0, whose bytes are all zero
+        for digits in (
+            edges + [1],
+            edges + [-1],
+            edges + noise + [-top],
+            [top],
+            dense,
+            [0],
+            [0, 0, 0, -1],
+            [byte],
+            [0, byte, -1],
+            [0, 0, -byte, top],
+        ):
             packed = sum(d << width * i for i, d in enumerate(digits))
             for low, sign in ((-7, 1), (4, -1)):
                 expected = LaurentPoly(

@@ -31,7 +31,6 @@ from .engine import (
     expand,
     expansion_value,
     jones,
-    step_up,
     unlink_value,
 )
 from .laurent import LaurentPoly, NotDivisible
@@ -54,7 +53,6 @@ __all__ = [
     "jones",
     "parse_braid",
     "parse_family",
-    "step_up",
     "unlink_value",
     "__version__",
 ]

@@ -185,21 +185,15 @@ def alternating_word(length: int) -> BraidWord:
     return _alternating_syllable_word([1] * length)
 
 
-_ALTERNATING_FORMULA_MAX = 29  # largest length the residue formulas are pinned at
-
-
 def alternating_closed_form(length: int) -> LaurentPoly:
     """Jones value of the closure of the alternating word of this length.
 
-    Six residue formulas mod 6 cover the values; they are asserted against
-    the evaluator for lengths up to 29 in the test suite, and longer
-    inputs fall back to the evaluator rather than extrapolating.
+    Six residue formulas mod 6 cover the values at every length; the test
+    suite asserts them against the evaluator for lengths up to 200.
     """
     n = length
     if n < 0:
         raise ValueError("length must be >= 0")
-    if n > _ALTERNATING_FORMULA_MAX:
-        return jones(alternating_word(n))
     k, r = divmod(n, 6)
     if r == 0:
         terms = [(12 * k, 2), (6 * k + 2, 1), (6 * k - 2, 1)]
@@ -487,11 +481,6 @@ class UnitWindow(NamedTuple):
 class UnitSearchResult(NamedTuple):
     window: UnitWindow
     hits: tuple[int, ...]
-
-
-def unit_window(family: ExponentFamily) -> UnitWindow:
-    """Certified finite window containing every possible unit exponent."""
-    return _window(_values(family))[0]
 
 
 def _window(value: Callable[[int], LaurentPoly]) -> tuple[UnitWindow, list[int]]:

@@ -512,7 +512,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             hint = " (use --engine recurrence)"
         print(f"braidjones: {exc}{hint}", file=sys.stderr)
         return 1
-    except InvariantViolation as exc:
+    # an inexact division (NotDivisible) or odd powers of A left in a bracket
+    # (ParityError) are arithmetic invariants failing, not bad input
+    except (InvariantViolation, ArithmeticError) as exc:
         print(f"braidjones: invariant violation: {exc}", file=sys.stderr)
         return 2
     except ValueError as exc:

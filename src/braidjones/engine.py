@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 import sys
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .braid import BraidWord, CapExceeded, Syllable, reduce_cyclic
 from .fibonacci import FibSpec, general_term, s_basis
@@ -90,9 +90,6 @@ _SIGN_BYTES = bytes(128) + b"\xff" * 128
 Syllables = list[tuple[int, int]]  # (generator, exponent) pairs
 
 
-step_up = SKEIN_SPEC.step  # V(e+2) from (V(e), V(e+1))
-
-
 def unlink_value(components: int) -> LaurentPoly:
     """Jones polynomial of an unlink with the given component count."""
     if components < 1:
@@ -121,21 +118,16 @@ def expand(word: BraidWord) -> list[ExpansionTerm]:
     ['s^6 + s^4', 's^5 - s']
     """
     syls = word.syllables
-    if len(syls) > CORNER_CAP:
-        raise CapExceeded(f"2^{len(syls)} expansion terms exceed the cap of 2^{CORNER_CAP}")
+    corners = _corners(word.strands, [s.gen for s in syls])
     pairs = [s_basis(SKEIN_SPEC, s.exp) for s in syls]
     terms: list[ExpansionTerm] = []
-    for bits in itertools.product((0, 1), repeat=len(syls)):
+    for bits, base in corners:
         factors = [pair[j] for pair, j in zip(pairs, bits)]
         if not all(factors):
             continue
         weight = LaurentPoly.monomial(-len(syls))
         for w in factors:
             weight = weight * w
-        base = BraidWord(
-            word.strands,
-            tuple(Syllable(s.gen, 1) for s, j in zip(syls, bits) if j),
-        )
         terms.append(ExpansionTerm(bits, weight, base))
     return terms
 
@@ -152,21 +144,24 @@ def expansion_value(word: BraidWord) -> LaurentPoly:
     if not syls:
         return jones(word)
     _factors(word)
-    seeds = _corner_seeds(word.strands, [s.gen for s in syls])
+    seeds = GeneratingFunction.build(word.strands, [s.gen for s in syls]).seeds
     return general_term(SKEIN_SPEC, seeds, [s.exp for s in syls])
 
 
-def _corner_seeds(strands: int, gens: Sequence[int]) -> dict[tuple[int, ...], LaurentPoly]:
-    """:func:`jones` of the word on ``gens`` at every {0,1} exponent vector.
-
-    Raises CapExceeded above ``CORNER_CAP`` syllables, before the first call.
+def _corners(strands: int, gens: Sequence[int]) -> Iterator[tuple[tuple[int, ...], BraidWord]]:
+    """Each {0,1} exponent vector on ``gens`` with its corner word, the
+    syllables at exponent 1, for :func:`expand` and
+    :meth:`GeneratingFunction.build`. Raises CapExceeded above
+    ``CORNER_CAP`` syllables, then BoundsError on a generator out of range,
+    both before the first corner.
     """
     if len(gens) > CORNER_CAP:
         raise CapExceeded(f"2^{len(gens)} corner seeds exceed the cap of 2^{CORNER_CAP}")
-    return {
-        bits: jones(BraidWord(strands, tuple(map(Syllable, gens, bits))))
+    top = BraidWord(strands, tuple(Syllable(g, 1) for g in gens)).syllables
+    return (
+        (bits, BraidWord(strands, tuple(itertools.compress(top, bits))))
         for bits in itertools.product((0, 1), repeat=len(gens))
-    }
+    )
 
 
 def jones(word: BraidWord) -> LaurentPoly:
@@ -672,7 +667,8 @@ class GeneratingFunction(NamedTuple):
         indices = tuple(indices)
         if not indices:
             raise ValueError("need at least one syllable index")
-        return cls(strands, indices, _corner_seeds(strands, indices))
+        seeds = {bits: jones(base) for bits, base in _corners(strands, indices)}
+        return cls(strands, indices, seeds)
 
     def coefficient(self, exponents: Iterable[int]) -> LaurentPoly:
         """Series coefficient at t1^a1 ... tk^ak for nonnegative a's.

@@ -4,7 +4,7 @@ This ring underlies every polynomial in the package. Jones values live in
 the skein variable ``s`` and bracket values in the smoothing variable ``A``;
 both share this representation, and text always names the variable ``s``.
 All arithmetic is exact over arbitrary precision integers, and values are
-immutable and hashable so they can key caches and group table rows.
+immutable and hashable.
 
 A value is two parallel lists, its exponents strictly ascending and their
 nonzero coefficients: degree and order are index reads, ``terms`` is a

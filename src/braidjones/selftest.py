@@ -2,13 +2,15 @@
 
 Every check recomputes a batch of values along two independent routes
 (recurrence engine vs. state-sum oracle, closed form vs. evaluator,
-census vs. hand-pinned rows) and compares exactly. The CLI exposes this
-as ``braidjones selftest``.
+census vs. hand-pinned rows) and compares exactly, through one rule: a
+check passes when each of its (label, got, expected) cases agrees, and
+otherwise reports its first disagreement. The CLI exposes this as
+``braidjones selftest``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 from .analysis import (
     alternating_closed_form,
@@ -19,9 +21,13 @@ from .analysis import (
     two_strand_closed_form,
     unit_search,
 )
-from .braid import parse_braid, parse_family
+from .braid import BraidWord, Syllable, parse_braid, parse_family
 from .bracket import bracket_naive, bracket_tl, jones_via_bracket
 from .engine import GeneratingFunction, jones, unlink_value
+from .laurent import LaurentPoly
+
+
+Cases = Iterator[tuple[str, object, object]]  # (label, got, expected)
 
 
 class CheckResult(NamedTuple):
@@ -30,18 +36,30 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def _check_two_strand() -> CheckResult:
-    bad = []
+def _agree(name: str, summary: str, cases: Cases) -> CheckResult:
+    """The check ``name``: ok with ``summary`` when every (label, got,
+    expected) case agrees, else failed at the first case that differs."""
+    for label, got, expected in cases:
+        if got != expected:
+            return CheckResult(name, False, f"{label}: {_text(got)} vs {_text(expected)}")
+    return CheckResult(name, True, summary)
+
+
+def _text(value: object) -> str:
+    return value.text() if isinstance(value, LaurentPoly) else str(value)
+
+
+def _quartic(exps: tuple[int, ...]) -> BraidWord:
+    """x1^a x2^b x1^c x2^d on three strands."""
+    return BraidWord(3, tuple(map(Syllable, (1, 2, 1, 2), exps)))
+
+
+def _two_strand() -> Cases:
     for a in range(-4, 7):
-        closed = two_strand_closed_form(a)
-        engine = jones(parse_braid(f"B2: x1^{a}"))
-        if closed != engine:
-            bad.append(f"exp {a}: {closed.text()} vs {engine.text()}")
-    detail = bad[0] if bad else "exponents -4..6 agree with the recurrence"
-    return CheckResult("two-strand torus closures", not bad, detail)
+        yield f"exp {a}", two_strand_closed_form(a), jones(parse_braid(f"B2: x1^{a}"))
 
 
-def _check_bracket_fixtures() -> CheckResult:
+def _bracket_fixtures() -> Cases:
     expected = {
         "B2: x1": "1",
         "B2: x1^2": "-s^5 - s",
@@ -49,149 +67,94 @@ def _check_bracket_fixtures() -> CheckResult:
         "B2: x1^-1": "1",
         "B3: x1 x2": "1",
     }
-    bad = []
     for text, value in expected.items():
-        got = jones_via_bracket(parse_braid(text))
-        if got.text() != value:
-            bad.append(f"{text}: {got.text()} vs {value}")
-    detail = bad[0] if bad else f"{len(expected)} pinned state-sum values"
-    return CheckResult("state-sum oracle fixtures", not bad, detail)
+        yield text, jones_via_bracket(parse_braid(text)).text(), value
 
 
-def _check_oracle_routes() -> CheckResult:
-    words = ["B3: x1^2 x2^-1 x1 x2", "B2: x1^-3", "B3: x1 x2^3 x1^2 x2"]
-    bad = []
-    for text in words:
+def _oracle_routes() -> Cases:
+    for text in ["B3: x1^2 x2^-1 x1 x2", "B2: x1^-3", "B3: x1 x2^3 x1^2 x2"]:
         word = parse_braid(text)
-        naive = bracket_naive(word)
-        tl = bracket_tl(word)
-        if naive != tl:
-            bad.append(f"{text}: state routes disagree")
-            continue
-        if jones_via_bracket(word) != jones(word):
-            bad.append(f"{text}: oracle vs engine")
-    detail = bad[0] if bad else f"{len(words)} words down both state routes"
-    return CheckResult("oracle route agreement", not bad, detail)
+        yield f"{text}: state routes", bracket_naive(word), bracket_tl(word)
+        yield f"{text}: oracle vs engine", jones_via_bracket(word), jones(word)
 
 
-def _check_alternating() -> CheckResult:
-    bad = []
-    for n in range(0, 13):
-        closed = alternating_closed_form(n)
-        engine = jones(alternating_word(n))
-        if closed != engine:
-            bad.append(f"length {n}: {closed.text()} vs {engine.text()}")
-    detail = bad[0] if bad else "lengths 0..12 match the residue formulas"
-    return CheckResult("alternating 3-braid closed form", not bad, detail)
+def _alternating() -> Cases:
+    for n in range(13):
+        yield f"length {n}", alternating_closed_form(n), jones(alternating_word(n))
 
 
-def _check_recurrences() -> CheckResult:
+def _recurrences() -> Cases:
     report = alternating_recurrences_check(3)
-    detail = (
-        f"{report.checked} identities hold"
-        if report.ok
-        else "failed: " + ", ".join(report.failures)
-    )
-    return CheckResult("alternating length recurrences", report.ok, detail)
+    yield "identities", report.checked, 21
+    for name in report.failures:
+        yield name, "fails", "holds"
 
 
-def _check_square_free() -> CheckResult:
-    bad = []
-    for strands, count in [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3)]:
-        word = parse_braid(
-            f"B{strands}: " + " ".join(f"x{i + 1}" for i in range(count))
-        )
-        if unlink_value(strands - count) != jones(word):
-            bad.append(f"n={strands} k={count}")
-    detail = bad[0] if bad else "6 strand/count combinations"
-    return CheckResult("increasing square-free closures", not bad, detail)
+def _square_free() -> Cases:
+    for n, k in [(2, 1), (3, 1), (3, 2), (4, 2), (4, 3), (5, 3)]:
+        word = BraidWord(n, tuple(Syllable(g, 1) for g in range(1, k + 1)))
+        yield f"n={n} k={k}", jones(word), unlink_value(n - k)
 
 
-def _check_generating_function() -> CheckResult:
-    bad = []
+def _generating_function() -> Cases:
     single = GeneratingFunction.build(2, (1,))
-    for a in range(0, 7):
-        if single.coefficient((a,)) != two_strand_closed_form(a):
-            bad.append(f"one variable, exponent {a}")
+    for a in range(7):
+        yield f"one variable, exponent {a}", single.coefficient((a,)), two_strand_closed_form(a)
     grid = GeneratingFunction.build(3, (1, 2, 1, 2))
     for exps in [(0, 0, 0, 0), (1, 1, 1, 1), (2, 1, 2, 1), (3, 1, 3, 1), (2, 3, 1, 2)]:
-        direct = jones(
-            parse_braid(
-                f"B3: x1^{exps[0]} x2^{exps[1]} x1^{exps[2]} x2^{exps[3]}"
-            )
-        )
-        if grid.coefficient(exps) != direct:
-            bad.append(f"four variables, exponents {exps}")
-    detail = bad[0] if bad else "12 series coefficients match direct evaluation"
-    return CheckResult("generating function coefficients", not bad, detail)
+        yield f"four variables, exponents {exps}", grid.coefficient(exps), jones(_quartic(exps))
 
 
-def _check_census() -> CheckResult:
+def _census() -> Cases:
     rows = leading_term_table(2)
-    total = sum(row.count for row in rows)
-    bad = []
-    if total != 16:
-        bad.append(f"counts sum to {total}, not 16")
-    full = [r for r in rows if r.delta == 0]
-    if not (
-        len(full) == 1
-        and full[0].word == "x1^3 x2"
-        and full[0].leading == "-s^8"
-        and full[0].degree == 8
-    ):
-        bad.append("dense row off")
-    empty = [r for r in rows if r.delta == 4]
-    if not (len(empty) == 1 and empty[0].leading == "s^2" and empty[0].degree == 6):
-        bad.append("empty row off")
-    detail = bad[0] if bad else f"{len(rows)} classes covering all 16 words"
-    return CheckResult("two-pair leading-term census", not bad, detail)
+    yield "classes", len(rows), 6
+    yield "counts", sum(row.count for row in rows), 16
+    dense = [(r.word, r.leading, r.degree) for r in rows if r.delta == 0]
+    yield "dense row", dense, [("x1^3 x2", "-s^8", 8)]
+    yield "empty row", [(r.leading, r.degree) for r in rows if r.delta == 4], [("s^2", 6)]
 
 
-def _check_degree_bound() -> CheckResult:
-    cases = {
+def _degree_bound() -> Cases:
+    pinned = {
         (3, 1, 3, 1): "-s^16 + s^10 + s^6",
         (4, 1, 3, 1): "-s^11 - s^7",
         (2, 1, 2, 1): "2s^12 + s^8 + s^4",
     }
-    bad = []
-    for exps, value in cases.items():
+    for exps, value in pinned.items():
+        yield f"{exps}: value", jones(_quartic(exps)).text(), value
         report = degree_audit(exps)
-        actual = jones(
-            parse_braid(
-                f"B3: x1^{exps[0]} x2^{exps[1]} x1^{exps[2]} x2^{exps[3]}"
-            )
-        )
-        if actual.text() != value:
-            bad.append(f"{exps}: value {actual.text()}")
-        elif not report.bound_met:
-            bad.append(f"{exps}: degree {report.degree} above {report.bound}")
-    detail = bad[0] if bad else "3 pinned values, all under the degree bound"
-    return CheckResult("four-syllable degree audits", not bad, detail)
+        yield f"{exps}: degree {report.degree} under {report.bound}", report.bound_met, True
 
 
-def _check_units() -> CheckResult:
+def _units() -> Cases:
     result = unit_search(parse_family("B2: x1^@"))
-    ok = result.hits == (-1, 1)
-    detail = (
-        f"window [{result.window.lo}, {result.window.hi}], hits {result.hits}"
-    )
-    return CheckResult("two-strand unit exponents", ok, detail)
+    yield "window", (result.window.lo, result.window.hi), (-1, 1)
+    yield "hits", result.hits, (-1, 1)
 
 
-_CHECKS: tuple[Callable[[], CheckResult], ...] = (
-    _check_two_strand,
-    _check_bracket_fixtures,
-    _check_oracle_routes,
-    _check_alternating,
-    _check_recurrences,
-    _check_square_free,
-    _check_generating_function,
-    _check_census,
-    _check_degree_bound,
-    _check_units,
+# name, the detail of a pass, and the cases, in the order they are reported
+_CHECKS: tuple[tuple[str, str, Callable[[], Cases]], ...] = (
+    ("two-strand torus closures", "exponents -4..6 agree with the recurrence", _two_strand),
+    ("state-sum oracle fixtures", "5 pinned state-sum values", _bracket_fixtures),
+    ("oracle route agreement", "3 words down both state routes", _oracle_routes),
+    ("alternating 3-braid closed form", "lengths 0..12 match the residue formulas", _alternating),
+    ("alternating length recurrences", "21 identities hold", _recurrences),
+    ("increasing square-free closures", "6 strand/count combinations", _square_free),
+    (
+        "generating function coefficients",
+        "12 series coefficients match direct evaluation",
+        _generating_function,
+    ),
+    ("two-pair leading-term census", "6 classes covering all 16 words", _census),
+    (
+        "four-syllable degree audits",
+        "3 pinned values, all under the degree bound",
+        _degree_bound,
+    ),
+    ("two-strand unit exponents", "window [-1, 1], hits (-1, 1)", _units),
 )
 
 
 def run_selftest() -> list[CheckResult]:
     """Run every built-in check and collect the outcomes."""
-    return [check() for check in _CHECKS]
+    return [_agree(name, summary, cases()) for name, summary, cases in _CHECKS]

@@ -24,10 +24,9 @@ from braidjones.analysis import (
     predict_degrees,
     two_strand_closed_form,
     unit_search,
-    unit_window,
 )
 from braidjones.braid import parse_family
-from braidjones.engine import jones, step_up
+from braidjones.engine import SKEIN_SPEC, jones
 from braidjones.laurent import ONE, LaurentPoly
 
 from .helpers import random_family
@@ -42,7 +41,7 @@ def synthetic_chain(v_e: LaurentPoly, v_e1: LaurentPoly, length: int):
     """Forward recurrence orbit; the propagation rules apply to any orbit."""
     out = [v_e, v_e1]
     while len(out) < length:
-        out.append(step_up(out[-2], out[-1]))
+        out.append(SKEIN_SPEC.step(out[-2], out[-1]))
     return out
 
 
@@ -197,8 +196,9 @@ class TestClosedForms:
         for n in range(0, 30):
             assert alternating_closed_form(n) == jones(alternating_word(n)), n
 
-    def test_alternating_fallback_past_pinned_range(self):
-        assert alternating_closed_form(31) == jones(alternating_word(31))
+    def test_alternating_residue_formulas_past_pinned_range(self):
+        for n in range(30, 201):
+            assert alternating_closed_form(n) == jones(alternating_word(n)), n
 
     def test_recurrence_audit(self):
         report = alternating_recurrences_check(3)
@@ -313,7 +313,7 @@ class TestUnits:
 
     def test_window_certificates(self):
         fam = parse_family("B2: x1^@")
-        window = unit_window(fam)
+        window = unit_search(fam).window
         sweep = {e: jones(fam.instantiate(e)) for e in range(-10, 11)}
         e, o0, o1 = window.order_anchor
         assert (int(sweep[e].order), int(sweep[e + 1].order)) == (o0, o1)

@@ -176,7 +176,7 @@ VALUE_CLASSES = {
     "DegreeReport": (lambda: analysis.degree_audit((3, 1, 3, 1)), "bound"),
     "TableRow": (lambda: analysis.leading_term_table(1)[0], "count"),
     "ScanReport": (lambda: analysis.leading_term_scan(1, 3), "mismatches"),
-    "UnitWindow": (lambda: analysis.unit_window(parse_family("B2: x1^@")), "lo"),
+    "UnitWindow": (lambda: analysis.unit_search(parse_family("B2: x1^@")).window, "lo"),
     "UnitSearchResult": (lambda: analysis.unit_search(parse_family("B2: x1^@")), "hits"),
     "CheckResult": (lambda: selftest.CheckResult("name", True, "detail"), "ok"),
 }

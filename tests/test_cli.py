@@ -19,11 +19,11 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import braidjones
-from braidjones import analysis, bracket, cli, engine
+from braidjones import analysis, bracket, cli, engine, selftest
 from braidjones.braid import parse_braid
 from braidjones.cli import main
 from braidjones.engine import jones, unlink_value
-from braidjones.laurent import LaurentPoly
+from braidjones.laurent import LaurentPoly, NotDivisible
 
 from .helpers import DESTABILIZATION_CHAIN, SPLIT_CHAIN, SQUARE_CHAIN
 
@@ -478,6 +478,55 @@ class TestUnits:
         code, _, err = run(capsys, "units", "B2: x1^@ x1^-1000000000000")
         assert code == 1
         assert "exceeds the cap" in err
+
+
+class TestInvariantFailures:
+    # an arithmetic invariant failing inside a command is exit 2, never a
+    # traceback: the packed transfer's exact division, and the parity of the
+    # oracle's bracket, here fed one odd power of A
+    def test_inexact_transfer_division_exits_two(self, capsys, monkeypatch):
+        def inexact(*args):
+            raise NotDivisible("transfer total is not divisible by (s^2+1)^1")
+
+        monkeypatch.setattr(engine, "_transfer", inexact)
+        code, out, err = run(capsys, "jones", "B3: x1^3 x2^3 x1^3 x2^3")
+        assert (code, out) == (2, "")
+        assert err == (
+            "braidjones: invariant violation: "
+            "transfer total is not divisible by (s^2+1)^1\n"
+        )
+
+    def test_odd_bracket_power_exits_two(self, capsys, monkeypatch):
+        real = bracket.bracket_tl
+        monkeypatch.setattr(bracket, "bracket_tl", lambda w: real(w) * LaurentPoly.monomial(1))
+        code, out, err = run(capsys, "jones", "B3: x1^2 x2", "--engine", "oracle")
+        assert (code, out) == (2, "")
+        assert err.startswith("braidjones: invariant violation: odd A power ")
+        assert "Traceback" not in err
+
+
+class TestSelftest:
+    def test_failing_check_exits_two(self, capsys, monkeypatch):
+        # one check's closed form wrong at length 5: that check alone fails,
+        # at its first mismatch
+        real = selftest.alternating_closed_form
+        wrong = LaurentPoly.monomial(7)
+        monkeypatch.setattr(
+            selftest, "alternating_closed_form", lambda n: wrong if n == 5 else real(n)
+        )
+        name = "alternating 3-braid closed form"
+        code, out, err = run(capsys, "selftest")
+        assert (code, err) == (2, "")
+        lines = out.splitlines()
+        value = jones(analysis.alternating_word(5)).text()
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            f"FAIL {name}: length 5: s^7 vs {value}"
+        ]
+        assert lines[-1] == "9/10 checks passed"
+        code, records, err = run_json(capsys, "selftest")
+        assert (code, err) == (2, "")
+        assert [(r["name"], r["ok"]) for r in records if not r["ok"]] == [(name, False)]
+        assert len(records) == 10
 
 
 class TestBench:

@@ -28,7 +28,6 @@ from braidjones.engine import (
     expand,
     expansion_value,
     jones,
-    step_up,
     unlink_value,
 )
 from braidjones.fibonacci import general_term, s_basis
@@ -114,16 +113,16 @@ class TestSteps:
     def test_step_up_matches_direct(self):
         fam = parse_family("B2: x1^@")
         v0, v1 = jones(fam.instantiate(0)), jones(fam.instantiate(1))
-        assert step_up(v0, v1) == jones(fam.instantiate(2))
-        assert step_up(v1, step_up(v0, v1)) == jones(fam.instantiate(3))
+        assert SKEIN_SPEC.step(v0, v1) == jones(fam.instantiate(2))
+        assert SKEIN_SPEC.step(v1, SKEIN_SPEC.step(v0, v1)) == jones(fam.instantiate(3))
 
     @given(st.integers(min_value=-8, max_value=8))
     def test_weights_solve_recurrence(self, a):
         w0, w1 = weight_pair(a)
         n0, n1 = weight_pair(a + 1)
         m0, m1 = weight_pair(a + 2)
-        assert m0 == step_up(w0, n0)
-        assert m1 == step_up(w1, n1)
+        assert m0 == SKEIN_SPEC.step(w0, n0)
+        assert m1 == SKEIN_SPEC.step(w1, n1)
 
     def test_weight_seeds(self):
         assert weight_pair(0) == (S2P1, LaurentPoly())
@@ -201,7 +200,7 @@ class TestExpansion:
 
     def test_expansion_cap_refuses_before_any_term(self, monkeypatch):
         # 2^13 terms, each a jones call: refused before the first basis pair
-        # or corner
+        # or corner, by all three routes with one message
         def unreachable(*args):
             raise AssertionError("an expansion term or corner was built")
 
@@ -209,9 +208,11 @@ class TestExpansion:
         monkeypatch.setattr(engine, "jones", unreachable)
         word = parse_braid("B3: " + " ".join(f"x{1 + i % 2}^3" for i in range(13)))
         assert len(word.syllables) == engine.CORNER_CAP + 1
+        gens = [s.gen for s in word.syllables]
+        message = f"^2\\^13 corner seeds exceed the cap of 2\\^{engine.CORNER_CAP}$"
         start = time.perf_counter()
-        for route in (expand, expansion_value):
-            with pytest.raises(CapExceeded, match=f"cap of 2\\^{engine.CORNER_CAP}"):
+        for route in (expand, expansion_value, lambda w: GeneratingFunction.build(3, gens)):
+            with pytest.raises(CapExceeded, match=message):
                 route(word)
         # an exponent past the packed cap is refused at admission
         with pytest.raises(CapExceeded, match="packed transfer state"):

@@ -62,7 +62,8 @@ SKEIN_SPEC = FibSpec(r1=LaurentPoly.monomial(1, -1), r2=LaurentPoly.monomial(3))
 
 LOOP_VALUE = LaurentPoly({1: -1, -1: -1})  # value of one extra unknot component
 
-# Catalan(12): the cached matching tables are dropped past this many entries
+# Catalan(12): the cached matching tables are dropped past this many entries,
+# strands + 2 to a numbered matching: a slot in each row, its loops and parity
 TRANSFER_CAP = 208_012
 # Syllables of an expansion or a generating function, 2^k jones calls each:
 # 2^12 seeds on 3 strands took 0.3 s on a 2-vCPU host, 2^14 1.1 s
@@ -317,94 +318,92 @@ def _merge_back(out: Syllables, low: int, gen: int, exp: int) -> bool:
 
 
 class _Matchings:
-    """Planar matchings on one strand count and the action of each e_i.
+    """Planar matchings on one strand count, numbered, and the action of each e_i.
 
     The 2n boundary points of a matching are read around the disc: top
     points of strands 1..n, then bottom points of strands n..1, so the top
     of strand t is point t - 1 and its bottom is point 2n - t. A matching
     is a Dyck word, an int whose bit p is set when point p opens a pair.
-    ``act[g][m]`` is e_g applied to m, equal to m when e_g closes a loop;
-    ``odd[m]`` is (loops(m) + strands) mod 2, the parity of the power of s
-    in m's state. Entries are filled the first time a transfer meets them.
+    Each is numbered when a transfer first meets it, the identity 0, and the
+    tables are lists by number: ``dyck[i]`` is i's Dyck word (``ids`` maps it
+    back to i), ``act[g][i]`` e_g on i, i itself when e_g closes a loop, or -1
+    until a transfer needs it, ``loop_count[i]`` its :meth:`loops` and
+    ``odd[i]`` (loop_count[i] + strands) mod 2, the parity of s in i's state.
     """
 
     def __init__(self, strands: int):
         self.strands = strands
-        self.identity = (1 << strands) - 1  # strand t's top paired to its bottom
-        self.act: list[dict[int, int]] = [{} for _ in range(strands)]
-        self.loop_count: dict[int, int] = {}
-        self.odd: dict[int, int] = {}
-        self.size = strands  # entries held, counting each empty act table as one
-        self.loops(self.identity)
+        self.dyck: list[int] = []
+        self.ids: dict[int, int] = {}
+        self.act: list[list[int]] = [[] for _ in range(strands)]
+        self.loop_count: list[int] = []
+        self.odd: list[int] = []
+        self.number((1 << strands) - 1)  # strand t's top paired to its bottom
 
-    def apply(self, gen: int, m: int) -> int:
-        """e_gen on m: cap the bottoms of strands gen and gen + 1, then cup."""
+    def number(self, m: int) -> int:
+        """The next number, given to the Dyck word m."""
+        self.ids[m] = len(self.dyck)
+        self.dyck.append(m)
+        self.loop_count.append(self.loops(m))
+        self.odd.append((self.loop_count[-1] + self.strands) & 1)
+        for row in self.act:
+            row.append(-1)
+        return self.ids[m]
+
+    def apply(self, gen: int, i: int) -> int:
+        """e_gen on matching i: cap the bottoms of strands gen and gen + 1, then cup."""
+        m = self.dyck[i]
         j = 2 * self.strands - 1 - gen  # bottom of strand gen + 1; j + 1 is strand gen's
         low, high = m >> j & 1, m >> (j + 1) & 1
         if low and not high:
             out = m  # j and j + 1 are partners: a closed loop
         elif high and not low:
             out = m ^ (3 << j)  # their partners pair up across them
-        elif low:
-            # both open: j + 1's partner p closes, and now opens to j's partner
-            p, depth = j + 2, 1
-            while True:
-                depth += 1 if m >> p & 1 else -1
-                if not depth:
-                    break
-                p += 1
-            out = m ^ (1 << (j + 1)) ^ (1 << p)
         else:
+            # both open: j + 1's partner p closes, and now opens to j's partner;
             # both close: j's partner p opened to j, and now closes j + 1's partner
-            p, depth = j - 1, 1
-            while True:
-                depth += -1 if m >> p & 1 else 1
-                if not depth:
-                    break
-                p -= 1
-            out = m ^ (1 << p) ^ (1 << j)
-        self.act[gen][m] = out
-        self.size += 1
-        self.loops(out)  # fills odd[out]
-        return out
+            step = 1 if low else -1
+            p = start = j + low
+            depth = 1
+            while depth:
+                p += step
+                depth += step if m >> p & 1 else -step
+            out = m ^ (1 << start) ^ (1 << p)
+        to = self.ids.get(out)
+        self.act[gen][i] = to = self.number(out) if to is None else to
+        return to
 
     def loops(self, m: int) -> int:
         """Loop count of the closure of m, which joins point p to 2n-1-p."""
-        count = self.loop_count.get(m)
-        if count is None:
-            size = 2 * self.strands
-            partner = [0] * size
-            opened: list[int] = []
-            for p in range(size):
-                if m >> p & 1:
-                    opened.append(p)
-                else:
-                    q = opened.pop()
-                    partner[p], partner[q] = q, p
-            seen = [False] * size
-            count = 0
-            for start in range(size):
-                if seen[start]:
-                    continue
+        size = 2 * self.strands
+        partner = [0] * size
+        opened: list[int] = []
+        for p in range(size):
+            if m >> p & 1:
+                opened.append(p)
+            else:
+                q = opened.pop()
+                partner[p], partner[q] = q, p
+        seen = [False] * size
+        count = 0
+        for p in range(size):
+            if not seen[p]:
                 count += 1
-                p = start
-                while not seen[p]:
+                while not seen[p]:  # around the loop through p
                     q = partner[p]
                     seen[p] = seen[q] = True
                     p = size - 1 - q
-            self.loop_count[m] = count
-            self.odd[m] = (count + self.strands) & 1
-            self.size += 2
         return count
 
 
-# The tables by strand count: a cache, filled as transfers meet matchings
-# and dropped whole once it holds more than TRANSFER_CAP entries.
-_TABLES: dict[int, _Matchings] = {}
+_TABLES: dict[int, _Matchings] = {}  # by strand count
 
 
 def _matchings(strands: int) -> _Matchings:
-    if sum(table.size for table in _TABLES.values()) > TRANSFER_CAP:
+    """The tables on ``strands`` strands, a cache filled as transfers meet
+    matchings. All are dropped first once they hold more than ``TRANSFER_CAP``
+    entries, strands + 2 to a numbered matching (:class:`_Matchings`)."""
+    if sum(len(t.dyck) * (t.strands + 2) for t in _TABLES.values()) > TRANSFER_CAP:
         _TABLES.clear()
     table = _TABLES.get(strands)
     if table is None:
@@ -467,13 +466,15 @@ def _transfer(strands: int, syls: Syllables, width: int, span: int) -> tuple[int
     whose coefficient at s^(low + 2i) is digit i of quotient in base
     2^width, the form that :func:`_unpack` reads; ``width`` and ``span``,
     the bits one packed state may reach, come from :func:`_factors`. States
-    map matchings to polynomials in s. An e_g move that opens no loop is a
-    saddle on the closure, so it changes the closure's loop count by
-    exactly one; the state of matching m is
-    therefore s^odd(m) C(u) in u = s^2, with odd(m) = (loops(m) + n) mod 2,
-    and C is packed into one int as its value at u = 2^width. Every state
-    carries the common power s^shift and the factor (u + 1)^j after j long
-    syllables, so that syllable x_g^a acts by
+    map matchings to polynomials in s: ``val[m]`` is the state of matching
+    number m (:class:`_Matchings`), None if it has none, and ``live`` lists
+    the numbers with a state, one that cancels to 0 too, in the order of
+    their first write. An e_g move that opens no loop is a saddle on the
+    closure, so it changes the closure's loop count by exactly one; the
+    state of m is therefore s^odd(m) C(u) in u = s^2, with odd(m) =
+    (loops(m) + n) mod 2, and C is packed into one int as its value at
+    u = 2^width. Every state carries the common power s^shift and the
+    factor (u + 1)^j after j long syllables, so that syllable x_g^a acts by
 
                             short           long
         identity:           1               u + 1
@@ -489,7 +490,7 @@ def _transfer(strands: int, syls: Syllables, width: int, span: int) -> tuple[int
     (-A)^(3w) the A^-w taken out becomes (-1)^w s^w. The closure weighs
     each matching by delta^(loops - 1) with delta = -s - s^-1, and one
     exact division removes (u + 1)^kept, kept the number of long
-    syllables. Long syllables and the closure make no pass over a state
+    syllables. Neither kernel nor the closure makes a pass over a state
     that only copies it: a first write stores its term as it is, a negative
     term is subtracted, and nothing is shifted by 0 or multiplied or
     divided by (u + 1)^0. Raises CapExceeded after a syllable whose live
@@ -497,8 +498,8 @@ def _transfer(strands: int, syls: Syllables, width: int, span: int) -> tuple[int
     together.
     """
     table = _matchings(strands)
-    odd = table.odd
-    states = {table.identity: 1}
+    odd, loop_count = table.odd, table.loop_count
+    val, live = [1] + [None] * (len(table.dyck) - 1), [0]  # the identity's state
     step = (1 << width) + 1  # u + 1
     shift = kept = 0
     for gen, a in syls:
@@ -509,64 +510,73 @@ def _transfer(strands: int, syls: Syllables, width: int, span: int) -> tuple[int
         loop = id0 + e1
         even = a % 2 == 0
         act = table.act[gen]
-        nxt: dict[int, int] = {}
-        get = nxt.get
+        # a state numbers at most one target, so nval has a slot for each
+        nval: list[int | None] = [None] * (len(table.dyck) + len(live))
+        nlive: list[int] = []
         # e_g's targets all close a loop, so where e_g closes none on m,
-        # nothing but m writes nxt[m]
+        # nothing but m writes nval[m], and m writes it first
         if (abs(a) - 1) * width <= SHORT_BITS:
             g = ((1 << id0) - ((1 << loop) if even else -(1 << loop))) // step
             opens = (g, g << width)  # s G_a out of an even state, an odd state
-            for m, c in states.items():
-                to = act.get(m)
-                if to is None:
+            for m in live:
+                c = val[m]
+                to = act[m]
+                if to < 0:
                     to = table.apply(gen, m)
                 if to == m:
-                    v = c << loop
-                    nxt[m] = get(m, 0) + (v if even else -v)
+                    v = c << loop if even else -(c << loop)
                 else:
-                    nxt[m] = c << id0
-                    nxt[to] = get(to, 0) + c * opens[odd[m]]
+                    nlive.append(m)
+                    nval[m] = c << id0 if id0 else c
+                    v = c * opens[odd[m]]
+                old = nval[to]
+                if old is None:
+                    nlive.append(to)
+                    nval[to] = v
+                else:
+                    nval[to] = old + v
         else:
             kept += 1
             id1 = id0 + width
             e0 = (id0, id1)  # the e_g shift out of an even state, an odd state
             loop1 = loop + width
             # id0 is 0 when a > 0, loop when a < 0: a shift by 0 would copy c
-            for m, c in states.items():
-                to = act.get(m)
-                if to is None:
+            for m in live:
+                c = val[m]
+                to = act[m]
+                if to < 0:
                     to = table.apply(gen, m)
                 if to == m:
-                    # in every transfer tried, a state that e_g maps to m came
-                    # first and wrote nxt[m], so the 0 (a copy) never arose
                     v = (c << loop if loop else c) + (c << loop1)
-                    old = get(m, 0)
-                    nxt[m] = old + v if even else old - v
+                    plus = even  # a negative term is subtracted
                 else:
-                    nxt[m] = (c << id0 if id0 else c) + (c << id1)
+                    nlive.append(m)
+                    nval[m] = (c << id0 if id0 else c) + (c << id1)
                     x = e0[odd[m]]
                     w = c << x if x else c
                     v = c << (x + e1) if x + e1 else c
-                    v = w - v if even else w + v
-                    old = get(to)
-                    nxt[to] = v if old is None else old + v
+                    v, plus = (w - v if even else w + v), True
+                old = nval[to]
+                if old is None:
+                    nlive.append(to)
+                    nval[to] = v if plus else -v
+                else:
+                    nval[to] = old + v if plus else old - v
         # the one refusal in the loop, and the bound on the count of states:
         # up to 12 strands there are at most Catalan(12) matchings, and a part
         # on 13 or more is uncut, so k >= 24, its width is 40 bits or more and
         # its span 40 (13 + 48) or more; Catalan(12) + 1 such states pass the
         # cap, which must stay below 5 * 10^8 bits to keep that bound
-        if len(nxt) * span > LIVE_BITS_CAP:
+        if len(nlive) * span > LIVE_BITS_CAP:
             raise CapExceeded(
-                f"{len(nxt)} live transfer states of up to {span} bits each "
+                f"{len(nlive)} live transfer states of up to {span} bits each "
                 f"exceed the cap of {LIVE_BITS_CAP} bits"
             )
-        states = nxt
+        val, live = nval, nlive
     by_loops: dict[int, int] = {}
-    loop_count = table.loop_count  # filled for every matching a transfer meets
-    for m, c in states.items():
-        loops = loop_count[m]
-        old = by_loops.get(loops)
-        by_loops[loops] = c if old is None else old + c
+    for m in live:
+        old = by_loops.get(loop_count[m])
+        by_loops[loop_count[m]] = val[m] if old is None else old + val[m]
     quot = 0
     for loops, c in by_loops.items():
         # s^odd s^(n-1) delta^(loops-1)

@@ -292,6 +292,34 @@ class TestEngine:
             * LaurentPoly({-5: -1, -1: -1})
         )
 
+    @pytest.mark.parametrize("cap", [0, 60, 600])
+    def test_table_drop(self, monkeypatch, cap):
+        # the tables are dropped between transfers once they hold more than
+        # TRANSFER_CAP entries; at 0 every part of a word, and every word,
+        # numbers its matchings afresh, and above it some tables persist
+        monkeypatch.setattr(engine, "_TABLES", {})
+        monkeypatch.setattr(engine, "TRANSFER_CAP", cap)
+        built, parts = [], []
+        make, transfer = engine._Matchings, engine._transfer
+        monkeypatch.setattr(engine, "_Matchings", lambda n: built.append(n) or make(n))
+        monkeypatch.setattr(
+            engine, "_transfer", lambda n, *rest: parts.append(n) or transfer(n, *rest)
+        )
+        rng = random.Random(32)
+        for strands in range(3, 10):
+            # x1 .. x(n-1) twice, uncut, and the same without x(n // 2),
+            # which cuts the closure into two parts
+            for cut in (0, strands // 2):
+                gens = [g for g in range(1, strands) if g != cut] * 2
+                syls = tuple(Syllable(g, rng.choice((-3, -2, -1, 1, 2, 3))) for g in gens)
+                word = BraidWord(strands, syls)
+                assert jones(word) == jones_via_bracket(word), word.text()
+        assert sorted(set(parts)) == list(range(2, 10))
+        if cap == 0:
+            assert built == parts
+        else:
+            assert len(set(parts)) < len(built) < len(parts)
+
     @pytest.mark.parametrize(
         "text", ["B2: x1^1000000000000000", "B3: x1^-1000000000000000 x2 x1 x2"]
     )
@@ -404,6 +432,12 @@ class TestEngine:
 
     @settings(max_examples=80, deadline=None)
     @given(small_words(), st.integers(0, 5))
+    # a transfer state cancels to exactly 0 after the fourth and the fifth of
+    # six syllables and stays a state; read as "no state yet", 0 changes the value
+    @example(parse_braid("B3: x1 x2 x1^-1 x2^-1 x1^3 x2^-1"), 0)
+    # one uncut part on 6 strands and 10 syllables, the shape that sets the
+    # tail of the benchmark's words
+    @example(parse_braid("B6: x1 x5^3 x4^-1 x3^2 x2^3 x4^-1 x1^-1 x3^2 x5^3 x2^-2"), 3)
     def test_three_routes_agree(self, word, k):
         value = jones(word)
         assert expansion_value(word) == value

@@ -7,10 +7,13 @@ recurrence. The Kauffman bracket oracle is a separate route that the
 evaluator never calls. Everything is exact integer Laurent arithmetic in
 the variable s.
 
-The package root exports the ring, the braid words and the evaluator. The
-oracle, the recurrence basis, the analysis tools and the self-test are
-imported by module: ``braidjones.bracket``, ``braidjones.fibonacci``,
-``braidjones.analysis`` and ``braidjones.selftest``.
+The package root exports the ring, the braid words, the evaluator and the
+paper's 2^k corner expansion: ``expand`` lists its terms, and
+``GeneratingFunction`` evaluates the corner words once and contracts them
+into the value at any integer exponents. The oracle, the recurrence basis,
+the analysis tools and the self-test are imported by module:
+``braidjones.bracket``, ``braidjones.fibonacci``, ``braidjones.analysis``
+and ``braidjones.selftest``.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ from .braid import (
 from .engine import (
     GeneratingFunction,
     expand,
-    expansion_value,
     jones,
     unlink_value,
 )
@@ -49,7 +51,6 @@ __all__ = [
     "ParseError",
     "Syllable",
     "expand",
-    "expansion_value",
     "jones",
     "parse_braid",
     "parse_family",

@@ -432,7 +432,9 @@ def _build_parser() -> _Parser:
         f"indices (2^{CORNER_CAP} corner seeds)",
     )
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--coeff", help="one exponent tuple, e.g. 2,1,2,1")
+    group.add_argument(
+        "--coeff", help="one exponent tuple, of any signs, e.g. 2,1,2,1 or -3,2,-1,4"
+    )
     group.add_argument(
         "--upto",
         type=int,

@@ -13,9 +13,9 @@ exponents 0 and 1 gives the single-syllable reduction
 
 with the basis pair ``s_basis(SKEIN_SPEC, a)``; applied to every syllable
 at once it expands any word over its 2^k corner words, exponents in {0, 1},
-which :func:`expansion_value` contracts by ``general_term`` and
-:func:`expand` lists. The division is always exact. That expansion and
-:class:`GeneratingFunction` are the paper's claims, checks on :func:`jones`.
+which :meth:`GeneratingFunction.coefficient` contracts by ``general_term``
+at any integer exponents and :func:`expand` lists. The division is always
+exact. That expansion is the paper's claim, a check on :func:`jones`.
 
 :func:`jones` evaluates a word in two stages, with no recursion and no
 call into the bracket oracle, on the word :func:`_reduce` leaves: two
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 import itertools
 import sys
+import threading
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .braid import BraidWord, CapExceeded, Syllable, reduce_cyclic
@@ -62,8 +63,9 @@ SKEIN_SPEC = FibSpec(r1=LaurentPoly.monomial(1, -1), r2=LaurentPoly.monomial(3))
 
 LOOP_VALUE = LaurentPoly({1: -1, -1: -1})  # value of one extra unknot component
 
-# Catalan(12): the cached matching tables are dropped past this many entries,
-# strands + 2 to a numbered matching: a slot in each row, its loops and parity
+# Catalan(12): a thread's cached matching tables are dropped past this many
+# entries, strands + 2 to a numbered matching: a slot in each row, its loops
+# and parity
 TRANSFER_CAP = 208_012
 # Syllables of an expansion or a generating function, 2^k jones calls each:
 # 2^12 seeds on 3 strands took 0.3 s on a 2-vCPU host, 2^14 1.1 s
@@ -131,22 +133,6 @@ def expand(word: BraidWord) -> list[ExpansionTerm]:
             weight = weight * w
         terms.append(ExpansionTerm(bits, weight, base))
     return terms
-
-
-def expansion_value(word: BraidWord) -> LaurentPoly:
-    """Evaluate a word through its {0,1} corner expansion.
-
-    Admits the word as :func:`jones` does, then makes 2^k :func:`jones`
-    calls, one per corner, instead of the 2^(sum |a_i|) smoothing states of
-    the naive bracket, and contracts them in one :func:`general_term`, exact
-    at negative exponents too; equals :func:`jones` on every input.
-    """
-    syls = word.syllables
-    if not syls:
-        return jones(word)
-    _factors(word)
-    seeds = GeneratingFunction.build(word.strands, [s.gen for s in syls]).seeds
-    return general_term(SKEIN_SPEC, seeds, [s.exp for s in syls])
 
 
 def _corners(strands: int, gens: Sequence[int]) -> Iterator[tuple[tuple[int, ...], BraidWord]]:
@@ -396,18 +382,23 @@ class _Matchings:
         return count
 
 
-_TABLES: dict[int, _Matchings] = {}  # by strand count
+_TABLES = threading.local()  # .by_strands: this thread's tables by strand count
 
 
 def _matchings(strands: int) -> _Matchings:
-    """The tables on ``strands`` strands, a cache filled as transfers meet
-    matchings. All are dropped first once they hold more than ``TRANSFER_CAP``
-    entries, strands + 2 to a numbered matching (:class:`_Matchings`)."""
-    if sum(len(t.dyck) * (t.strands + 2) for t in _TABLES.values()) > TRANSFER_CAP:
-        _TABLES.clear()
-    table = _TABLES.get(strands)
+    """This thread's tables on ``strands`` strands, a cache filled as its
+    transfers meet matchings. A transfer numbers each new matching as it
+    meets it, so each thread keeps its own tables, and all of them are
+    dropped first once they hold more than ``TRANSFER_CAP`` entries,
+    strands + 2 to a numbered matching (:class:`_Matchings`)."""
+    tables = getattr(_TABLES, "by_strands", None)
+    if tables is None:
+        tables = _TABLES.by_strands = {}
+    elif sum(len(t.dyck) * (t.strands + 2) for t in tables.values()) > TRANSFER_CAP:
+        tables.clear()
+    table = tables.get(strands)
     if table is None:
-        table = _TABLES[strands] = _Matchings(strands)
+        table = tables[strands] = _Matchings(strands)
     return table
 
 
@@ -664,8 +655,10 @@ class GeneratingFunction(NamedTuple):
     Q_0(t) = 1 - (s^3 - s) t and Q_1(t) = t. The 2^k corner seeds are the
     only braid evaluations needed. The coefficient of t^n in Q_j(t)/q(t) is
     S_j[n]/D of the closed-form basis :func:`s_basis`, so a coefficient is
-    one :func:`general_term` over the corner seeds, at any exponents.
-    :meth:`build` evaluates the seeds, one :func:`jones` call each.
+    one :func:`general_term` over the corner seeds. That closed form holds at
+    every integer exponent, so :meth:`coefficient` is also the paper's 2^k
+    expansion contracted: the value of any word on the grid from its corner
+    seeds. :meth:`build` evaluates the seeds, one :func:`jones` call each.
     """
 
     strands: int
@@ -681,15 +674,15 @@ class GeneratingFunction(NamedTuple):
         return cls(strands, indices, seeds)
 
     def coefficient(self, exponents: Iterable[int]) -> LaurentPoly:
-        """Series coefficient at t1^a1 ... tk^ak for nonnegative a's.
+        """The Jones value of x_i1^a1 ... x_ik^ak, at any integer a's.
 
-        Equals the Jones value of x_i1^a1 ... x_ik^ak. Negative exponents
-        are outside the series cone; evaluate those words directly.
+        Where every a is nonnegative it is the series coefficient at
+        t1^a1 ... tk^ak. The word is admitted as :func:`jones` admits it,
+        so an exponent past the packed cap raises CapExceeded before any
+        arithmetic; then one :func:`general_term` over the seeds.
         """
         exps = tuple(exponents)
         if len(exps) != len(self.indices):
             raise ValueError("exponent count does not match the index sequence")
-        if any(a < 0 for a in exps):
-            raise ValueError("series coefficients need nonnegative exponents")
         _factors(BraidWord(self.strands, tuple(map(Syllable, self.indices, exps))))
         return general_term(SKEIN_SPEC, self.seeds, exps)

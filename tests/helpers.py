@@ -8,6 +8,8 @@ from __future__ import annotations
 import random
 
 from braidjones.braid import BraidWord, ExponentFamily, Syllable, reduce_cyclic
+from braidjones.engine import GeneratingFunction
+from braidjones.laurent import LaurentPoly
 
 # 599 destabilizations down to the unknot
 DESTABILIZATION_CHAIN = "B600: " + " ".join(f"x{i}" for i in range(1, 600))
@@ -49,6 +51,13 @@ def random_family(
     word = random_word(rng, strands, max_syllables, max_abs_exp, allow_negative)
     slot = rng.randrange(len(word.syllables))
     return ExponentFamily(word, slot)
+
+
+def grid_value(word: BraidWord) -> LaurentPoly:
+    """V(word) through the paper's 2^k corner expansion: one generating
+    function on the word's generators, evaluated at its exponents."""
+    gf = GeneratingFunction.build(word.strands, [s.gen for s in word.syllables])
+    return gf.coefficient([s.exp for s in word.syllables])
 
 
 def conjugate(word: BraidWord, k: int = 1) -> BraidWord:

@@ -32,12 +32,11 @@ from braidjones.engine import (
     SKEIN_SPEC,
     GeneratingFunction,
     expand,
-    expansion_value,
     jones,
 )
 from braidjones.fibonacci import FibSpec, s_basis
 from braidjones.laurent import LaurentPoly
-from .helpers import conjugate, random_family, random_word
+from .helpers import conjugate, grid_value, random_family, random_word
 
 
 @contextlib.contextmanager
@@ -142,7 +141,7 @@ def test_criterion_07_expansion_identity():
         for _ in range(100):
             strands = rng.choice((3, 4))
             word = random_word(rng, strands, max_syllables=6, max_abs_exp=3)
-            assert expansion_value(word) == jones(word), word.text()
+            assert grid_value(word) == jones(word), word.text()
 
 
 def test_criterion_08_generating_functions():

@@ -242,19 +242,21 @@ class TestGenfun:
             "2: -s^5 - s",
         ]
 
-    def test_negative_coefficient_exits_one(self, capsys):
-        code, _, err = run(
-            capsys,
-            "genfun",
-            "--strands",
-            "2",
-            "--indices",
-            "1",
-            "--coeff",
-            "-2",
-        )
+    def test_negative_coefficient(self, capsys):
+        argv = ["--strands", "3", "--indices", "1,2,1,2", "--coeff", "-3,2,-1,4"]
+        code, records, _ = run_json(capsys, "genfun", *argv)
+        assert code == 0
+        code, expected, _ = run_json(capsys, "jones", "B3: x1^-3 x2^2 x1^-1 x2^4")
+        assert code == 0
+        assert records[0]["polynomial"] == expected[0]["polynomial"]
+
+    def test_huge_negative_coefficient_exits_one(self, capsys):
+        argv = ["--strands", "2", "--indices", "1", "--coeff", "-1000000000000"]
+        code, out, err = run(capsys, "genfun", *argv)
         assert code == 1
-        assert "nonnegative" in err
+        assert out == ""
+        assert "packed transfer state" in err
+        assert "Traceback" not in err
 
     def test_large_coefficient(self, capsys):
         start = time.perf_counter()

@@ -31,8 +31,13 @@ relation a whole syllable acts on planar matchings as
     x_i^a = A^-a + beta_a e_i,   (1 + A^4) beta_a = A^(2-a) (1 - (-A^4)^a),
 
 so a syllable with few terms in beta_a applies it as one product, while a
-longer one scales every state by (1 + A^4) to apply binomial shifts only,
-and one exact division at the end removes (1 + A^4) per long syllable. An
+longer one scales every state by (1 + A^4), and one exact division at the
+end removes (1 + A^4) per long syllable. Times (1 + A^4), a long syllable
+is a sum over the recurrence's roots, one of them carrying (-A^4)^a: a part
+with one to four long syllables whose exponents are large keeps each choice
+of roots as a branch of exponent-free states and places each branch at its
+exponent once, before that division, where any other part shifts every
+state by a digits. An
 e_i move that opens no loop is a saddle on the closure and changes its loop
 count by one, so a matching's polynomial is s^p C(s^2) with p fixed by the
 parity of its loop count (the parity behind Kauffman's state sum). Each C
@@ -87,6 +92,18 @@ LIVE_BITS_CAP = 1 << 28
 # 6 and 5) three sets of 40 such words took 0.78-1.04 of the long kernel's
 # time at the limit and 0.91-1.16 one |a| above it, 280-288 bits
 SHORT_BITS = 256
+# A part takes each long syllable's two roots as branches (:mod:`branches`),
+# rather than shifting every state by a * width (:func:`_transfer`), when it has
+# 1 to ROOT_LONGS long syllables that shift a state by ROOT_BITS or more
+# together, width * sum |a|. Timed against the dense kernel on 2-6 strands
+# (2-vCPU host, best of 5), branches took a median 1.0-2.6 of its time below
+# 2^14 bits, 0.72-1.16 from 2^14 to 2^15 and 0.38-0.91 above, at most 1.11.
+# Above 2^15 on 3-8 strands, 4 long syllables took 0.51-0.68 (at most 0.84)
+# and 5 to 8 took 0.47-0.81, but one part with 5 took 2x, and 8 on 8 strands
+# made 10,230 branch states, past LIVE_BITS_CAP where the dense states were
+# not: the branches can double with every long syllable
+ROOT_LONGS = 4
+ROOT_BITS = 1 << 15
 # The sign of each byte, spread over a whole byte: 0x00 below 0x80, 0xff from it
 _SIGN_BYTES = bytes(128) + b"\xff" * 128
 
@@ -467,103 +484,153 @@ def _transfer(strands: int, syls: Syllables, width: int, span: int) -> tuple[int
     u = 2^width. Every state carries the common power s^shift and the
     factor (u + 1)^j after j long syllables, so that syllable x_g^a acts by
 
-                            short           long
-        identity:           1               u + 1
-        e_g:                s G_a           s (1 - (-1)^a u^a)
-        e_g closing a loop: (-1)^a u^a      (-1)^a u^a (u + 1)
+                            short           long: root 1    root (-u)^a
+        identity:           1               u + 1           0
+        e_g:                s G_a           s               -s
+        e_g closing a loop: (-1)^a u^a      0               u + 1
 
     all times u^-h, h = min(0, a), which keeps the exponents nonnegative.
     Here G_a = (1 - (-u)^a) / (1 + u) has |a| terms, and a syllable is
-    short when packed G_a spans at most ``SHORT_BITS`` bits. The factor s of
-    an e_g move goes into odd(to) from an even state and becomes one more
-    factor u from an odd one. These are the bracket's weights in s = A^2
-    once A^-a is taken out of each syllable; with the writhe normalization
-    (-A)^(3w) the A^-w taken out becomes (-1)^w s^w. The closure weighs
-    each matching by delta^(loops - 1) with delta = -s - s^-1, and one
-    exact division removes (u + 1)^kept, kept the number of long
-    syllables. Neither kernel nor the closure makes a pass over a state
-    that only copies it: a first write stores its term as it is, a negative
-    term is subtracted, and nothing is shifted by 0 or multiplied or
-    divided by (u + 1)^0. Raises CapExceeded after a syllable whose live
-    states, at ``span`` bits each, could exceed ``LIVE_BITS_CAP`` bits
-    together.
+    short when packed G_a spans at most ``SHORT_BITS`` bits. A long
+    syllable's two columns are the skein recurrence's two roots -s and
+    s^3: (u + 1) times its short weights is the first plus (-u)^a times
+    the second. The loop here adds them in every state, the second shifted
+    by a digits; a part with 1 to ``ROOT_LONGS`` long syllables that shift
+    a state by ``ROOT_BITS`` or more together takes :func:`branches.transfer`
+    instead, which keeps each choice of roots as a branch and places it
+    once, to the same total. The factor s of an e_g move goes into odd(to)
+    from an even state and becomes one more factor u from an odd one. These
+    are the bracket's weights in s = A^2 once A^-a is taken out of each
+    syllable; with the writhe normalization (-A)^(3w) the A^-w taken out
+    becomes (-1)^w s^w. The closure (:func:`_close`) weighs each matching
+    by delta^(loops - 1) with delta = -s - s^-1, and one exact division
+    removes (u + 1)^kept, kept the number of long syllables. Neither kernel
+    nor the closure makes a pass over a state that only copies it: a first
+    write stores its term as it is, a negative term is subtracted, and
+    nothing is shifted by 0 or multiplied or divided by (u + 1)^0. Raises
+    CapExceeded after a syllable whose live states, at ``span`` bits each,
+    could exceed ``LIVE_BITS_CAP`` bits together.
     """
     table = _matchings(strands)
-    odd, loop_count = table.odd, table.loop_count
-    val, live = [1] + [None] * (len(table.dyck) - 1), [0]  # the identity's state
-    step = (1 << width) + 1  # u + 1
-    shift = kept = 0
-    for gen, a in syls:
-        h = a if a < 0 else 0
-        shift += 2 * h
-        id0 = -h * width
-        e1 = a * width  # the shift of (-1)^a u^a
-        loop = id0 + e1
-        even = a % 2 == 0
-        act = table.act[gen]
-        # a state numbers at most one target, so nval has a slot for each
-        nval: list[int | None] = [None] * (len(table.dyck) + len(live))
-        nlive: list[int] = []
-        # e_g's targets all close a loop, so where e_g closes none on m,
-        # nothing but m writes nval[m], and m writes it first
-        if (abs(a) - 1) * width <= SHORT_BITS:
-            g = ((1 << id0) - ((1 << loop) if even else -(1 << loop))) // step
-            opens = (g, g << width)  # s G_a out of an even state, an odd state
-            for m in live:
-                c = val[m]
-                to = act[m]
-                if to < 0:
-                    to = table.apply(gen, m)
-                if to == m:
-                    v = c << loop if even else -(c << loop)
-                else:
-                    nlive.append(m)
-                    nval[m] = c << id0 if id0 else c
-                    v = c * opens[odd[m]]
-                old = nval[to]
-                if old is None:
-                    nlive.append(to)
-                    nval[to] = v
-                else:
-                    nval[to] = old + v
-        else:
-            kept += 1
-            id1 = id0 + width
-            e0 = (id0, id1)  # the e_g shift out of an even state, an odd state
-            loop1 = loop + width
-            # id0 is 0 when a > 0, loop when a < 0: a shift by 0 would copy c
-            for m in live:
-                c = val[m]
-                to = act[m]
-                if to < 0:
-                    to = table.apply(gen, m)
-                if to == m:
-                    v = (c << loop if loop else c) + (c << loop1)
-                    plus = even  # a negative term is subtracted
-                else:
-                    nlive.append(m)
-                    nval[m] = (c << id0 if id0 else c) + (c << id1)
-                    x = e0[odd[m]]
-                    w = c << x if x else c
-                    v = c << (x + e1) if x + e1 else c
-                    v, plus = (w - v if even else w + v), True
-                old = nval[to]
-                if old is None:
-                    nlive.append(to)
-                    nval[to] = v if plus else -v
-                else:
-                    nval[to] = old + v if plus else old - v
-        # the one refusal in the loop, and the bound on the count of states:
-        # up to 12 strands there are at most Catalan(12) matchings, and a part
-        # on 13 or more is uncut, so k >= 24, its width is 40 bits or more and
-        # its span 40 (13 + 48) or more; Catalan(12) + 1 such states pass the
-        # cap, which must stay below 5 * 10^8 bits to keep that bound
-        if len(nlive) * span > LIVE_BITS_CAP:
-            raise CapExceeded(
-                f"{len(nlive)} live transfer states of up to {span} bits each "
-                f"exceed the cap of {LIVE_BITS_CAP} bits"
-            )
-        val, live = nval, nlive
+    # long syllables shift a state by at most span bits together
+    longs = _root_longs(syls, width) if span >= ROOT_BITS else None
+    if longs:
+        from . import branches  # compiled only by a process with such a part
+
+        quot, shift = branches.transfer(strands, table, syls, width, span, longs)
+        kept = len(longs)
+    else:
+        odd = table.odd
+        val, live = [1] + [None] * (len(table.dyck) - 1), [0]  # the identity's state
+        step = (1 << width) + 1  # u + 1
+        shift = kept = 0
+        for gen, a in syls:
+            h = a if a < 0 else 0
+            shift += 2 * h
+            id0 = -h * width
+            e1 = a * width  # the shift of (-1)^a u^a
+            loop = id0 + e1
+            even = a % 2 == 0
+            act = table.act[gen]
+            # a state numbers at most one target, so nval has a slot for each
+            nval: list[int | None] = [None] * (len(table.dyck) + len(live))
+            nlive: list[int] = []
+            # e_g's targets all close a loop, so where e_g closes none on m,
+            # nothing but m writes nval[m], and m writes it first
+            if (abs(a) - 1) * width <= SHORT_BITS:
+                g = ((1 << id0) - ((1 << loop) if even else -(1 << loop))) // step
+                opens = (g, g << width)  # s G_a out of an even state, an odd state
+                for m in live:
+                    c = val[m]
+                    to = act[m]
+                    if to < 0:
+                        to = table.apply(gen, m)
+                    if to == m:
+                        v = c << loop if even else -(c << loop)
+                    else:
+                        nlive.append(m)
+                        nval[m] = c << id0 if id0 else c
+                        v = c * opens[odd[m]]
+                    old = nval[to]
+                    if old is None:
+                        nlive.append(to)
+                        nval[to] = v
+                    else:
+                        nval[to] = old + v
+            else:
+                kept += 1
+                id1 = id0 + width
+                e0 = (id0, id1)  # the e_g shift out of an even state, an odd state
+                loop1 = loop + width
+                # id0 is 0 when a > 0, loop when a < 0: a shift by 0 would copy c
+                for m in live:
+                    c = val[m]
+                    to = act[m]
+                    if to < 0:
+                        to = table.apply(gen, m)
+                    if to == m:
+                        v = (c << loop if loop else c) + (c << loop1)
+                        plus = even  # a negative term is subtracted
+                    else:
+                        nlive.append(m)
+                        nval[m] = (c << id0 if id0 else c) + (c << id1)
+                        x = e0[odd[m]]
+                        w = c << x if x else c
+                        v = c << (x + e1) if x + e1 else c
+                        v, plus = (w - v if even else w + v), True
+                    old = nval[to]
+                    if old is None:
+                        nlive.append(to)
+                        nval[to] = v if plus else -v
+                    else:
+                        nval[to] = old + v if plus else old - v
+            # the one refusal in the loop, and the bound on the count of states:
+            # up to 12 strands there are at most Catalan(12) matchings, and a part
+            # on 13 or more is uncut, so k >= 24, its width is 40 bits or more and
+            # its span 40 (13 + 48) or more; Catalan(12) + 1 such states pass the
+            # cap, which must stay below 5 * 10^8 bits to keep that bound
+            if len(nlive) * span > LIVE_BITS_CAP:
+                raise _live_cap(len(nlive), span)
+            val, live = nval, nlive
+        quot = _close(strands, table, live, val, width)
+    if kept:
+        quot, rem = divmod(quot, ((1 << width) + 1) ** kept)
+        if rem:
+            raise NotDivisible(f"transfer total is not divisible by (s^2+1)^{kept}")
+    writhe = sum(a for _, a in syls)
+    return quot, shift - (strands - 1) + writhe, -1 if writhe % 2 else 1
+
+
+def _root_longs(syls: Syllables, width: int) -> list[int] | None:
+    """The |a| of each long syllable of a part that takes :func:`branches.transfer`:
+    1 to ``ROOT_LONGS`` of them, shifting a state by ``ROOT_BITS`` or more
+    together; None for any other part."""
+    top = SHORT_BITS // width + 1  # the largest short |a|
+    longs = [abs(a) for _, a in syls if abs(a) > top]
+    if 0 < len(longs) <= ROOT_LONGS and sum(longs) * width >= ROOT_BITS:
+        return longs
+    return None
+
+
+def _live_cap(count: int, bits: int) -> CapExceeded:
+    """The transfer's one refusal inside its loop over syllables."""
+    return CapExceeded(
+        f"{count} live transfer states of up to {bits} bits each "
+        f"exceed the cap of {LIVE_BITS_CAP} bits"
+    )
+
+
+def _close(
+    strands: int,
+    table: _Matchings,
+    live: Iterable[int],
+    val: Sequence[int | None] | Mapping[int, int],
+    width: int,
+) -> int:
+    """The packed closure of the states ``val[m]`` of the matching numbers m
+    in ``live``, ``val`` a list by number or a dict: each matching weighs
+    delta^(loops - 1) times s^(n - 1), the closure's normalization."""
+    loop_count = table.loop_count
     by_loops: dict[int, int] = {}
     for m in live:
         old = by_loops.get(loop_count[m])
@@ -575,17 +642,12 @@ def _transfer(strands: int, syls: Syllables, width: int, span: int) -> tuple[int
         up = (strands - loops + ((strands + loops) & 1)) // 2
         v = c << up * width if up else c
         if loops > 1:
-            v *= step ** (loops - 1)
+            v *= ((1 << width) + 1) ** (loops - 1)
         if not quot:
             quot = v if loops % 2 else -v
         else:
             quot = quot + v if loops % 2 else quot - v
-    if kept:
-        quot, rem = divmod(quot, step**kept)
-        if rem:
-            raise NotDivisible(f"transfer total is not divisible by (s^2+1)^{kept}")
-    writhe = sum(a for _, a in syls)
-    return quot, shift - (strands - 1) + writhe, -1 if writhe % 2 else 1
+    return quot
 
 
 def _unpack(packed: int, width: int, low: int, sign: int) -> LaurentPoly:

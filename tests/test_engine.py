@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from braidjones import bracket, engine, laurent
+from braidjones import bracket, branches, engine, laurent
 from braidjones.braid import (
     BraidWord,
     CapExceeded,
@@ -464,14 +464,15 @@ class TestEngine:
             assert jones(conjugate(word, k)) == value, word.text()
 
     def test_engine_source_imports_no_oracle(self):
-        tree = ast.parse(inspect.getsource(engine))
+        # the root branches are the evaluator's too
         imported = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom):
-                imported.add(node.module or "")
-                imported.update(alias.name for alias in node.names)
-            elif isinstance(node, ast.Import):
-                imported.update(alias.name for alias in node.names)
+        for module in (engine, branches):
+            for node in ast.walk(ast.parse(inspect.getsource(module))):
+                if isinstance(node, ast.ImportFrom):
+                    imported.add(node.module or "")
+                    imported.update(alias.name for alias in node.names)
+                elif isinstance(node, ast.Import):
+                    imported.update(alias.name for alias in node.names)
         assert not any("bracket" in name for name in imported)
 
     @settings(max_examples=80, deadline=None)
@@ -671,6 +672,90 @@ class TestPackedWidth:
         for k, (word, value) in enumerate(zip(words, expected)):
             assert jones(word) == value, word.text()
             assert jones(conjugate(word, k)) == value, word.text()
+
+
+@st.composite
+def root_parts(draw):
+    """A transfer part of 2-7 strands and its width: 1-4 long syllables
+    among up to 6 short ones, both of either sign, in any order."""
+    width = draw(st.sampled_from((32, 40, 64, 128)))
+    strands = draw(st.integers(2, 7))
+    top = engine.SHORT_BITS // width + 1  # the largest short |a|
+    gen = st.integers(1, strands - 1)
+    sign = st.sampled_from((1, -1))
+    shorts = draw(st.lists(st.tuples(gen, st.integers(1, top), sign), max_size=6))
+    longs = draw(st.lists(st.tuples(gen, st.integers(top + 1, 600), sign), min_size=1, max_size=4))
+    syls = draw(st.permutations(shorts + longs))
+    return strands, [(g, s * m) for g, m, s in syls], width
+
+
+def balanced_word(rng: random.Random, strands: int, count: int) -> BraidWord:
+    """Every generator equally often, none twice in a row, |a| of 1-3 in equal shares."""
+    gens = [1 + i % (strands - 1) for i in range(count)]
+    while True:
+        rng.shuffle(gens)
+        if all(gens[i] != gens[i - 1] for i in range(count)):
+            break
+    mags = [1 + i % 3 for i in range(count)]
+    rng.shuffle(mags)
+    return BraidWord(
+        strands, tuple(Syllable(g, m * rng.choice((1, -1))) for g, m in zip(gens, mags))
+    )
+
+
+class TestRootBranches:
+    @settings(max_examples=80, deadline=None)
+    @given(root_parts())
+    # x1^500 x2^-500 twice: the roots' exponents sum to 0 and to +-500 in
+    # several ways, so branches meet on one key
+    @example((3, [(1, 500), (2, -500), (1, 500), (2, -500)], 32))
+    # keys 1 and 2 apart, 299 to 301, join one run shifted by a digit or two
+    @example((3, [(1, 300), (2, 301), (1, -300), (2, 299)], 32))
+    # two of the four runs close to 0
+    @example((3, [(1, 1), (2, 40), (1, 57), (2, 1)], 32))
+    def test_branches_equal_dense_loop(self, part):
+        # the same packed (quotient, low, sign) through the root branches,
+        # taken at any size here, and through the dense loop, taken at a cap of 0
+        strands, syls, width = part
+        span = width * (strands + sum(abs(a) + 1 for _, a in syls))
+        roots, calls = branches.transfer, []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(engine, "ROOT_BITS", 0)
+            mp.setattr(branches, "transfer", lambda *args: calls.append(args) or roots(*args))
+            got = engine._transfer(strands, syls, width, span)
+            mp.setattr(engine, "ROOT_LONGS", 0)
+            want = engine._transfer(strands, syls, width, span)
+        assert len(calls) == 1
+        assert got == want
+
+    def test_small_words_keep_the_dense_loop(self, monkeypatch):
+        # words in the shapes of the benchmark's words workload, and the
+        # pinned draw, have no part with 1-4 long syllables that shift a
+        # state by ROOT_BITS together, so none of them takes the branches
+        def unreachable(*args):
+            raise AssertionError("a part took the root branches")
+
+        rng = random.Random(0)
+        shapes = [(4, 8), (5, 8), (6, 8), (4, 10), (5, 10), (6, 10), (4, 11), (5, 11)]
+        shapes += [(4, 12), (4, 14), (5, 12)]
+        words = [balanced_word(rng, n, k) for _ in range(6) for n, k in shapes]
+        monkeypatch.setattr(branches, "transfer", unreachable)
+        for word in words:
+            jones(word)
+        for index, word in enumerate(pinned_words()):
+            if index < 2:
+                jones(word)
+            else:
+                with pytest.raises(CapExceeded, match="live transfer states"):
+                    jones(word)
+
+    @pytest.mark.parametrize("a", [300, 3000])
+    def test_pinned_quartics_take_the_branches(self, monkeypatch, a):
+        word = parse_braid(f"B3: x1^{a} x2^{a} x1^{a} x2^{a}")
+        roots, calls = branches.transfer, []
+        monkeypatch.setattr(branches, "transfer", lambda *args: calls.append(args) or roots(*args))
+        assert jones(word) == grid_value(word)
+        assert len(calls) == 1
 
 
 def one_slot_seeds(fam):
